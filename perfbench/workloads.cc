@@ -332,8 +332,12 @@ Workload IngestServe(std::uint64_t seed, bool tiny) {
 }
 
 // The catalog's relations for ad-hoc queries: arity 1, 2 and 3.
-constexpr const char* kAdhocRelations[][2] = {
-    {"u0", "1"}, {"b0", "2"}, {"b1", "2"}, {"b2", "2"}, {"t0", "3"}, {"t1", "3"}};
+struct RelationShape {
+  const char* name;
+  int arity;
+};
+constexpr RelationShape kAdhocRelations[] = {
+    {"u0", 1}, {"b0", 2}, {"b1", 2}, {"b2", 2}, {"t0", 3}, {"t1", 3}};
 
 // Distinct random CQs (6-10 variables, 5-9 atoms, arity <= 3, one or two
 // free variables; half alpha-acyclic by construction), renamed onto the
@@ -395,8 +399,7 @@ Workload AdhocShapes(std::uint64_t seed, bool tiny) {
   std::mt19937_64 rng(Mix(kStructureSeed, 2));
   const std::uint64_t domain = 300;
   Database db;
-  for (const auto& [relation, arity_text] : kAdhocRelations) {
-    const int arity = std::atoi(arity_text);
+  for (const auto& [relation, arity] : kAdhocRelations) {
     const std::size_t rows = arity == 1 ? 150 : 1000;
     std::set<std::vector<Value>> seen;
     while (seen.size() < rows) {
