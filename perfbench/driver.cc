@@ -2,17 +2,16 @@
 //
 //   perfbench_driver --workload W --seed N --seconds S --trace 0|1
 //                    --daemon PATH/sharpcqd --work DIR [--spans FILE]
-//                    [--setup-reps N] [--tiny]
+//                    [--tiny]
 //
-// --trace 0 is the end-to-end run: it sets the workload up several times
+// --trace 0 is the end-to-end run: it sets the workload up three times
 // (data generation, catalog ingest, daemon start, warm-up; setup_s is the
-// median), drives the daemon over TCP from this one process for S seconds,
+// median; once with --tiny), drives the daemon over TCP from this one process for S seconds,
 // reads the daemon's counters around the timed window, checks every answer
 // against an in-process oracle afterwards and prints the end-to-end
 // metrics. --trace 1 is the traced replay (replay.cc), which prints the
 // per-layer metrics. The last stdout line is the result JSON either way.
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -41,11 +40,16 @@ sharpcq::Request IngestRequest(const Workload& w, std::size_t batch) {
 
 bool SetUp(const Options& options, const std::string& root, bool single_client,
            Served* served, std::string* error) {
-  served->workload = MakeWorkload(options.workload, options.seed, options.tiny);
+  std::optional<Workload> workload =
+      MakeWorkload(options.workload, options.seed, options.tiny);
+  if (!workload.has_value()) {
+    *error = "unknown workload " + options.workload;
+    return false;
+  }
+  served->workload = std::move(*workload);
   served->root = root;
   const Workload& w = served->workload;
-  const int clients =
-      single_client ? 1 : w.clients + (w.writer_hz > 0 ? 1 : 0);
+  const int clients = single_client ? 1 : w.clients;
   RemoveTree(root);
   if (!PopulateCatalog(served->workload, root, error)) return false;
   if (!served->daemon.Start(options.daemon, root, error)) return false;
@@ -71,32 +75,13 @@ bool SetUp(const Options& options, const std::string& root, bool single_client,
 
 namespace {
 
-// The generation a count response reports, or 0.
-std::uint64_t ResponseGeneration(const sharpcq::Response& response) {
-  const std::string* field = response.Field("generation");
-  return field == nullptr ? 0 : std::strtoull(field->c_str(), nullptr, 10);
-}
-
-// Batches applied to the ingest database when a response reports
-// `generation` of database `db` (generation 1 is the populated catalog).
-std::size_t BatchesAt(const Workload& w, const std::string& db,
-                      std::uint64_t generation) {
-  return db == w.ingest_db && generation > 1 ? generation - 1 : 0;
-}
-
 // What one client observed in the timed window.
 struct ClientLog {
-  std::vector<double> count_ms;      // completed counts, send -> response
-  std::vector<double> count_at_ms;   // ... and when each completed
-  std::vector<double> swap_ms;       // first count on a new generation
-  std::vector<double> ingest_ms;     // from the scheduled send (open loop)
-  std::vector<double> ingest_at_ms;  // ... and when each completed
-  std::vector<double> sched_lag_ms;  // actual send - scheduled send
+  std::vector<double> count_ms;     // completed counts, send -> response
+  std::vector<double> count_at_ms;  // ... and when each completed
   std::uint64_t counts_sent = 0;
-  std::uint64_t ingests_sent = 0;
   std::uint64_t errors = 0;  // error responses and transport failures
-  // (query, batches applied, answer) for the checker.
-  std::vector<std::tuple<int, std::size_t, std::string>> answers;
+  std::vector<std::pair<int, std::string>> answers;  // (query, answer)
 };
 
 // One closed-loop reader: sends the shared stream's next count as soon as
@@ -105,7 +90,6 @@ void Reader(Served* served, sharpcq::Client* client,
             std::atomic<std::size_t>* next, Clock::time_point start,
             Clock::time_point deadline, ClientLog* log) {
   const Workload& w = served->workload;
-  std::uint64_t last_generation = 0;
   std::string error;
   while (Clock::now() < deadline) {
     const std::size_t i = next->fetch_add(1);
@@ -123,46 +107,8 @@ void Reader(Served* served, sharpcq::Client* client,
     }
     log->count_ms.push_back(ms);
     log->count_at_ms.push_back(MsSince(start));
-    const std::uint64_t generation = ResponseGeneration(*response);
-    if (q.db == w.ingest_db) {
-      if (last_generation != 0 && generation > last_generation) {
-        log->swap_ms.push_back(ms);
-      }
-      last_generation = std::max(last_generation, generation);
-    }
     const std::string* count = response->Field("count");
-    log->answers.emplace_back(key, BatchesAt(w, q.db, generation),
-                              count == nullptr ? "" : *count);
-  }
-}
-
-// The open-loop writer: batch k is due at start + k / writer_hz, and its
-// latency is timed from that due time, so a stalled daemon (or a stalled
-// generator) shows as latency on every later batch, not as lower load.
-void Writer(Served* served, sharpcq::Client* client, Clock::time_point start,
-            Clock::time_point deadline, ClientLog* log) {
-  const Workload& w = served->workload;
-  std::string error;
-  for (std::size_t k = 0;; ++k) {
-    const Clock::time_point due =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(k / w.writer_hz));
-    if (due >= deadline) break;
-    const sharpcq::Request request = IngestRequest(w, k);
-    std::this_thread::sleep_until(due);
-    log->sched_lag_ms.push_back(MsSince(due));
-    ++log->ingests_sent;
-    std::optional<sharpcq::Response> response = client->Call(request, &error);
-    if (!response.has_value() || !response->ok) {
-      std::fprintf(stderr, "perfbench: ingest %zu failed: %s\n", k,
-                   response.has_value() ? response->message.c_str()
-                                        : error.c_str());
-      ++log->errors;
-      if (!response.has_value()) ConnectClient(client, served->daemon.port(), &error);
-      continue;
-    }
-    log->ingest_ms.push_back(MsSince(due));
-    log->ingest_at_ms.push_back(MsSince(start));
+    log->answers.emplace_back(key, count == nullptr ? "" : *count);
   }
 }
 
@@ -178,19 +124,22 @@ std::string OracleSummary(const AnswerChecker& checker) {
 }
 
 // The timed window is cut into this many equal slices; throughput, the
-// count latency quantiles and CPU per operation are computed per slice and
+// median count latency and CPU per operation are computed per slice and
 // reported as the median over slices, so a burst of load from a neighbour
-// on a shared host moves one slice, not the result.
+// on a shared host moves one slice, not the result. The tail quantile is
+// taken over the whole window instead: a slice holds too few counts to put
+// ten beyond its p99 on the slower workloads, and on the faster one the
+// median of slice p99s spread more across runs than the window's p99.
 constexpr int kSlices = 10;
 
 struct SliceStats {
-  double qps = 0, p50_ms = 0, tail_ms = 0, tail_quantile = 0, cpu_ms_per_op = 0;
+  double qps = 0, p50_ms = 0, cpu_ms_per_op = 0;
   std::vector<double> slice_qps;  // for the record: how steady the host was
 };
 
 SliceStats Slice(const ClientLog& all, const std::vector<double>& cpu_at,
                  double slice_ms) {
-  std::vector<double> qps, p50, tail, quantile, cpu;
+  std::vector<double> qps, p50, cpu;
   for (int k = 0; k < kSlices; ++k) {
     auto in_slice = [&](double at) {
       return at >= k * slice_ms && (at < (k + 1) * slice_ms || k == kSlices - 1);
@@ -199,29 +148,26 @@ SliceStats Slice(const ClientLog& all, const std::vector<double>& cpu_at,
     for (std::size_t i = 0; i < all.count_ms.size(); ++i) {
       if (in_slice(all.count_at_ms[i])) latencies.push_back(all.count_ms[i]);
     }
-    double ingests = 0;
-    for (double at : all.ingest_at_ms) ingests += in_slice(at) ? 1 : 0;
-    const double q = TailQuantileFor(latencies.size());
-    const double ops = static_cast<double>(latencies.size()) + ingests;
-    qps.push_back(static_cast<double>(latencies.size()) / (slice_ms / 1000.0));
+    const double ops = static_cast<double>(latencies.size());
+    qps.push_back(ops / (slice_ms / 1000.0));
     p50.push_back(Quantile(latencies, 0.5));
-    tail.push_back(Quantile(latencies, q));
-    quantile.push_back(q);
     cpu.push_back(ops > 0 ? (cpu_at[k + 1] - cpu_at[k]) / ops : 0);
   }
-  return {Median(qps), Median(p50), Median(tail), Median(quantile), Median(cpu), qps};
+  return {Median(qps), Median(p50), Median(cpu), qps};
 }
 
 }  // namespace
 
 int RunEndToEnd(const Options& options) {
-  // Set up setup_reps times; keep the last one for the timed window. The
-  // first MakeWorkload builds (and caches) the request stream, which is the
-  // load generator's input rather than part of the system's set-up.
+  // Set up three times (once when tiny); keep the last one for the timed
+  // window. The first MakeWorkload builds (and caches) the request stream,
+  // which is the load generator's input rather than part of the system's
+  // set-up.
   MakeWorkload(options.workload, options.seed, options.tiny);
+  const int setup_reps = options.tiny ? 1 : 3;
   std::vector<double> setup_s;
   Served served;
-  for (int rep = 0; rep < options.setup_reps; ++rep) {
+  for (int rep = 0; rep < setup_reps; ++rep) {
     if (rep > 0) {
       served.daemon.Stop();
       served.clients.clear();
@@ -260,10 +206,6 @@ int RunEndToEnd(const Options& options) {
       threads.emplace_back(Reader, &served, &served.clients[c], &next, start,
                            deadline, &logs[c]);
     }
-    if (w.writer_hz > 0) {
-      threads.emplace_back(Writer, &served, &served.clients.back(), start,
-                           deadline, &logs.back());
-    }
     for (int k = 1; k <= kSlices; ++k) {
       std::this_thread::sleep_until(
           start + std::chrono::duration_cast<Clock::duration>(
@@ -279,36 +221,28 @@ int RunEndToEnd(const Options& options) {
     all.count_ms.insert(all.count_ms.end(), log.count_ms.begin(), log.count_ms.end());
     all.count_at_ms.insert(all.count_at_ms.end(), log.count_at_ms.begin(),
                            log.count_at_ms.end());
-    all.ingest_at_ms.insert(all.ingest_at_ms.end(), log.ingest_at_ms.begin(),
-                            log.ingest_at_ms.end());
-    all.swap_ms.insert(all.swap_ms.end(), log.swap_ms.begin(), log.swap_ms.end());
-    all.ingest_ms.insert(all.ingest_ms.end(), log.ingest_ms.begin(), log.ingest_ms.end());
-    all.sched_lag_ms.insert(all.sched_lag_ms.end(), log.sched_lag_ms.begin(),
-                            log.sched_lag_ms.end());
     all.answers.insert(all.answers.end(), log.answers.begin(), log.answers.end());
     all.counts_sent += log.counts_sent;
-    all.ingests_sent += log.ingests_sent;
     all.errors += log.errors;
   }
   const SliceStats sliced = Slice(all, cpu_at, slice_ms);
+  const double tail_quantile = TailQuantileFor(all.count_ms.size());
 
   const double peak_rss_mb = served.daemon.PeakRssMb();
   served.daemon.Stop();
 
-  // Daemon-side totals must match what this generator sent.
+  // Daemon-side totals must match what this generator sent (no ingests).
   bool totals_match = before.has_value() && after.has_value();
   double hit_share = 0, builds_per_count = 0, rejected = 0;
   if (totals_match) {
     const double counts = after->Status("cmd_count") - before->Status("cmd_count");
     const double ingests = after->Status("cmd_ingest") - before->Status("cmd_ingest");
-    totals_match = counts == static_cast<double>(all.counts_sent) &&
-                   ingests == static_cast<double>(all.ingests_sent);
+    totals_match = counts == static_cast<double>(all.counts_sent) && ingests == 0;
     if (!totals_match) {
       std::fprintf(stderr,
                    "perfbench: daemon saw %.0f counts / %.0f ingests, generator "
-                   "sent %llu / %llu\n",
-                   counts, ingests, static_cast<unsigned long long>(all.counts_sent),
-                   static_cast<unsigned long long>(all.ingests_sent));
+                   "sent %llu / 0\n",
+                   counts, ingests, static_cast<unsigned long long>(all.counts_sent));
     }
     const double hits = after->Metric("sharpcq_plan_cache_hits_total") -
                         before->Metric("sharpcq_plan_cache_hits_total");
@@ -326,17 +260,15 @@ int RunEndToEnd(const Options& options) {
   }
 
   AnswerChecker checker(w);
-  for (const auto& [key, batches, answer] : all.answers) {
-    checker.Check(key, batches, answer);
-  }
+  for (const auto& [key, answer] : all.answers) checker.Check(key, 0, answer);
   const std::uint64_t wrong = checker.Verify();
-  const std::uint64_t attempted = all.counts_sent + all.ingests_sent;
+  const std::uint64_t attempted = all.counts_sent;
   const std::uint64_t failed = all.errors + wrong;
 
   std::vector<Metric> metrics = {
       {"count_qps", sliced.qps, "1/s"},
       {"count_p50_ms", sliced.p50_ms, "ms"},
-      {"count_p99_ms", sliced.tail_ms, "ms"},
+      {"count_p99_ms", Quantile(all.count_ms, tail_quantile), "ms"},
       {"cpu_ms_per_op", sliced.cpu_ms_per_op, "ms"},
       {"peak_rss_mb", peak_rss_mb, "MB"},
       {"ok_frac", attempted > 0 ? 1.0 - static_cast<double>(failed) / attempted : 0, "ratio"},
@@ -350,15 +282,7 @@ int RunEndToEnd(const Options& options) {
     props += ", \"" + key + "\": \"" + value + "\"";
   }
   props += ", \"count_samples\": " + std::to_string(all.count_ms.size()) +
-           ", \"count_tail_quantile\": " + Num(sliced.tail_quantile) +
-           ", \"ingest_samples\": " + std::to_string(all.ingest_ms.size()) +
-           ", \"ingest_p50_ms\": " + Num(Quantile(all.ingest_ms, 0.5)) +
-           ", \"ingest_p90_ms\": " + Num(Quantile(all.ingest_ms, 0.9)) +
-           ", \"swap_samples\": " + std::to_string(all.swap_ms.size()) +
-           ", \"swap_count_p50_ms\": " + Num(Quantile(all.swap_ms, 0.5)) +
-           ", \"ingest_sched_lag_p50_ms\": " + Num(Quantile(all.sched_lag_ms, 0.5)) +
-           ", \"ingest_sched_lag_p99_ms\": " +
-           Num(Quantile(all.sched_lag_ms, TailQuantileFor(all.sched_lag_ms.size()))) +
+           ", \"count_tail_quantile\": " + Num(tail_quantile) +
            ", \"plan_cache_hit_share\": " + Num(hit_share) +
            ", \"index_builds_per_count\": " + Num(builds_per_count) +
            ", \"rejected_overload\": " + Num(rejected) +
@@ -389,8 +313,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: perfbench_driver --workload W --seed N --seconds S "
-               "--trace 0|1 --daemon PATH --work DIR [--spans FILE] "
-               "[--setup-reps N] [--tiny]\n");
+               "--trace 0|1 --daemon PATH --work DIR [--spans FILE] [--tiny]\n");
   return 2;
 }
 
@@ -420,15 +343,11 @@ int main(int argc, char** argv) {
       options.work = value;
     } else if (arg == "--spans") {
       options.spans = value;
-    } else if (arg == "--setup-reps") {
-      options.setup_reps = std::atoi(value.c_str());
     } else {
       return Usage();
     }
   }
-  const auto& names = perfbench::WorkloadNames();
-  if (std::find(names.begin(), names.end(), options.workload) == names.end() ||
-      options.seconds < 1 || options.setup_reps < 1 || options.daemon.empty() ||
+  if (options.workload.empty() || options.seconds < 1 || options.daemon.empty() ||
       options.work.empty()) {
     return Usage();
   }

@@ -7,8 +7,9 @@
 //           BuildDataProfile -> CanonicalizeQuery -> CountingEngine::Plan ->
 //           ExecutePlan (under an ExecScope built from the daemon's
 //           EngineOptions), then CountingEngine::Count through a second
-//           Catalog on the same root, and FindSharpBDecomposition for
-//           #b-planned queries.
+//           Catalog on the same root, ComputeColoredCore (the solver's
+//           core computation, which planning runs on a cache miss) and
+//           FindSharpBDecomposition for #b-planned queries.
 //   ingest: Database + ValueDict copy -> LoadRelationCsv ->
 //           Catalog::Ingest, then the first Open of the new generation.
 //
@@ -32,6 +33,7 @@
 #include "query/canonical.h"
 #include "query/parser.h"
 #include "runs.h"
+#include "solver/core.h"
 #include "storage/catalog.h"
 #include "util/cancel.h"
 #include "util/count_int.h"
@@ -231,6 +233,15 @@ class Replay {
     worklist_ += static_cast<double>(result.worklist_iterations);
     ++counts_;
 
+    // The solver layer as planning reaches it: the colored core, by
+    // homomorphism search. Counts never run the consistency worklist
+    // (only HomomorphismExistsViaConsistency does), so the count result's
+    // worklist_iterations stays 0 on every workload.
+    span = tracer_.Begin("solver.core", root, rid);
+    [[maybe_unused]] sharpcq::ConjunctiveQuery core =
+        sharpcq::ComputeColoredCore(*parsed);
+    Record("solver.core_us", tracer_.End(span));
+
     if (planned.plan->strategy == sharpcq::PlanStrategy::kSharpB) {
       span = tracer_.Begin("hybrid.sharpb_search", root, rid);
       sharpcq::SharpBOptions sharpb;
@@ -377,9 +388,9 @@ class Replay {
     out.push_back({"algebra.filter_hit_ratio",
                    ratio(filter_hits_, filter_hits_ + filter_passes_), "ratio"});
     out.push_back({"algebra.morsels_per_count", ratio(morsels_, counts_), "count"});
+    timing("solver.core_us", "us");
     out.push_back({"solver.worklist_iterations_per_count", ratio(worklist_, counts_),
                    "count"});
-    timing("loadgen.ingest_sched_lag_ms", "ms");
     out.push_back({"trace.overhead_us",
                    Quantile(samples_["server.roundtrip_us"], 0.5) - untraced_rt_p50_us,
                    "us"});
@@ -419,7 +430,7 @@ class Replay {
   std::map<std::string, std::uint64_t> open_generation_;
   std::map<std::string, std::vector<double>> samples_;
   std::uint64_t requests_ = 0;
-  std::size_t applied_ = 0;  // writer batches the daemon has acknowledged
+  std::size_t applied_ = 0;  // probe batches the daemon has acknowledged
   std::uint64_t attempted_ = 0;
   std::uint64_t failed_ = 0;
   double counts_ = 0, filter_hits_ = 0, filter_passes_ = 0, morsels_ = 0,
@@ -463,29 +474,13 @@ int RunTraced(const Options& options) {
   const Clock::time_point start = Clock::now();
   const Clock::time_point deadline =
       start + std::chrono::milliseconds(options.seconds * 750);
-  std::size_t batch = 0;
-  while (Clock::now() < deadline) {
-    if (w.writer_hz > 0) {
-      // The writer's schedule, interleaved on the one client: every batch
-      // that has come due goes out before the next count.
-      const Clock::time_point due =
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(batch / w.writer_hz));
-      if (Clock::now() >= due) {
-        replay.Record("loadgen.ingest_sched_lag_ms", MsSince(due));
-        replay.Ingest(batch++);
-        continue;
-      }
-    }
-    replay.Count(next_key());
-  }
+  while (Clock::now() < deadline) replay.Count(next_key());
   std::optional<Scrape> after = ScrapeDaemon(&scraper, &error);
-  // Probe ingests for workloads without an in-window writer.
-  if (w.writer_hz <= 0) {
-    for (int k = 0; k < w.probe_batches; ++k) {
-      replay.Ingest(static_cast<std::size_t>(k));
-      replay.Count(w.SwapQuery(static_cast<std::size_t>(k)));
-    }
+  // Probe ingests, after the window: the write path and the first count
+  // on each new generation.
+  for (int k = 0; k < w.probe_batches; ++k) {
+    replay.Ingest(static_cast<std::size_t>(k));
+    replay.Count(w.SwapQuery(static_cast<std::size_t>(k)));
   }
   served.daemon.Stop();
   if (!before.has_value() || !after.has_value()) {

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload point_repeat --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload adhoc_shapes --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --smoke
 
 The first call builds the sharpcq library, the sharpcqd daemon and the load
@@ -15,10 +15,10 @@ object as the last line of standard output:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 --trace 0 prints the end-to-end metrics, --trace 1 the per-layer metrics of
-the traced replay (BENCHMARK.json lists both). --seed takes a number or one
-of the named seeds below. --smoke runs every workload at tiny size for about
-a second in both modes and checks that every metric BENCHMARK.json names is
-printed with its unit and that no operation failed.
+the traced replay (BENCHMARK.json lists both, and the workloads). --seed
+takes a number or one of the named seeds below. --smoke runs every workload
+at tiny size for about a second in both modes and checks that every metric
+BENCHMARK.json names is printed with its unit and that no operation failed.
 """
 
 import argparse
@@ -37,12 +37,16 @@ BUILD = os.path.join(ROOT, ".bench_build")
 # holds on a seed it was not tuned on.
 SEEDS = {"default": 1, "unseen": 7919}
 
-WORKLOADS = ["point_repeat", "adhoc_shapes", "analytic_repeat", "ingest_serve"]
 DRIVER_TIMEOUT_S = 170
 
 
 def log(message):
     print(message, file=sys.stderr, flush=True)
+
+
+def load_spec():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)
 
 
 def build():
@@ -77,7 +81,7 @@ def run_driver(bin_dir, workload, seed, seconds, trace, tiny=False):
            "--daemon", os.path.join(bin_dir, "sharpcqd"),
            "--work", work, "--spans", spans]
     if tiny:
-        cmd += ["--tiny", "--setup-reps", "1"]
+        cmd.append("--tiny")
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                               timeout=DRIVER_TIMEOUT_S)
@@ -93,13 +97,11 @@ def parse_seed(text):
     return SEEDS[text] if text in SEEDS else int(text)
 
 
-def smoke(bin_dir):
+def smoke(bin_dir, spec):
     """Every workload, tiny, about a second, both modes: every metric
     BENCHMARK.json names must be printed with its unit, nothing may fail."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = json.load(f)
     ok = True
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in spec["workloads"]):
         for trace, group in ((0, "end_to_end"), (1, "per_layer")):
             code, out = run_driver(bin_dir, workload, SEEDS["default"], 1,
                                    trace, tiny=True)
@@ -138,10 +140,12 @@ def smoke(bin_dir):
 
 
 def main():
+    spec = load_spec()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", choices=WORKLOADS)
+    parser.add_argument("--workload",
+                        choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", default="default")
-    parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args()
@@ -158,7 +162,7 @@ def main():
         log("perfbench: build failed: %s" % e)
         return 1
     if args.smoke:
-        return smoke(bin_dir)
+        return smoke(bin_dir, spec)
     code, out = run_driver(bin_dir, args.workload, seed, args.seconds,
                            args.trace == 1)
     sys.stdout.write(out)

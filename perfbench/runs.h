@@ -21,7 +21,6 @@ struct Options {
   int seconds = 10;
   bool trace = false;
   bool tiny = false;    // smoke-test sizes
-  int setup_reps = 3;   // set-ups per end-to-end run; setup_s is their median
   std::string daemon;   // path of the sharpcqd binary
   std::string work;     // scratch directory for catalogs
   std::string spans;    // where the traced run writes its spans
@@ -44,8 +43,8 @@ struct Served {
 };
 
 // Set-up, timed as setup_s: generate, ingest, start the daemon, connect
-// the workload's clients (readers, then the writer if it has one; one
-// client when `single_client`) and send the warm-up requests.
+// the workload's clients (one when `single_client`) and send the warm-up
+// requests. False with *error set on failure, an unknown workload too.
 bool SetUp(const Options& options, const std::string& root, bool single_client,
            Served* served, std::string* error);
 

@@ -20,7 +20,6 @@
 #include "engine/planner.h"
 #include "gen/paper_queries.h"
 #include "gen/random_gen.h"
-#include "harness.h"
 #include "hypergraph/acyclic.h"
 #include "query/parser.h"
 #include "storage/catalog.h"
@@ -33,7 +32,6 @@ namespace perfbench {
 using sharpcq::ConjunctiveQuery;
 using sharpcq::Database;
 using sharpcq::Value;
-using sharpcq::ValueDict;
 
 namespace {
 
@@ -42,13 +40,6 @@ std::uint64_t Mix(std::uint64_t seed, std::uint64_t salt) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
-}
-
-std::string Name(const char* prefix, std::uint64_t i) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s%05llu", prefix,
-                static_cast<unsigned long long>(i));
-  return buf;
 }
 
 QuerySpec Query(std::string db, std::string text, OracleKind oracle) {
@@ -62,8 +53,7 @@ QuerySpec Query(std::string db, std::string text, OracleKind oracle) {
 void LoadCsv(DatabaseSpec* spec, const std::string& relation,
              const std::string& csv) {
   std::istringstream in(csv);
-  sharpcq::CsvResult loaded =
-      sharpcq::LoadRelationCsv(in, relation, &spec->db, &spec->dict);
+  sharpcq::CsvResult loaded = sharpcq::LoadRelationCsv(in, relation, &spec->db);
   if (!loaded.ok()) {
     std::fprintf(stderr, "perfbench: generated CSV for %s rejected: %s\n",
                  relation.c_str(), loaded.message.c_str());
@@ -71,180 +61,41 @@ void LoadCsv(DatabaseSpec* spec, const std::string& relation,
   }
 }
 
-// Distinct values of one column of a stored relation, rendered as CSV
-// fields (names through the dictionary when it has them).
-std::vector<std::string> ColumnFields(const DatabaseSpec& spec,
-                                      const std::string& relation, int column) {
+// Distinct values of one column of a stored relation.
+std::vector<Value> ColumnValues(const DatabaseSpec& spec,
+                                const std::string& relation, int column) {
   const sharpcq::Relation& rel = spec.db.relation(relation);
   std::set<Value> values;
   for (std::size_t row = 0; row < rel.size(); ++row) {
     values.insert(rel.Row(row)[static_cast<std::size_t>(column)]);
   }
-  std::vector<std::string> fields;
-  for (Value v : values) {
-    fields.push_back(spec.dict.size() > 0 ? spec.dict.NameOf(v)
-                                          : std::to_string(v));
-  }
-  return fields;
+  return {values.begin(), values.end()};
 }
 
-// Writer batches for a binary relation: `rows` pairs drawn from the
-// relation's existing column values; with `new_every` > 0 every
-// new_every-th left value is a fresh symbolic name, so the dictionary
-// grows the way real appends grow it.
+// Probe-ingest batches for a binary relation: `rows` pairs drawn from the
+// relation's existing column values.
 std::function<std::string(std::size_t)> PairBatches(const DatabaseSpec& spec,
                                                     const std::string& relation,
-                                                    int rows, int new_every,
-                                                    std::uint64_t seed) {
-  std::vector<std::string> left = ColumnFields(spec, relation, 0);
-  std::vector<std::string> right = ColumnFields(spec, relation, 1);
-  return [left, right, rows, new_every, seed](std::size_t k) {
+                                                    int rows, std::uint64_t seed) {
+  std::vector<Value> left = ColumnValues(spec, relation, 0);
+  std::vector<Value> right = ColumnValues(spec, relation, 1);
+  return [left, right, rows, seed](std::size_t k) {
     std::mt19937_64 rng(Mix(seed, 0xB47C0000ull + k));
     std::string csv;
     for (int i = 0; i < rows; ++i) {
-      if (new_every > 0 && i % new_every == new_every - 1) {
-        csv += "wn" + std::to_string(k) + "x" + std::to_string(i);
-      } else {
-        csv += left[rng() % left.size()];
-      }
-      csv += "," + right[rng() % right.size()] + "\n";
+      const Value a = left[rng() % left.size()];
+      const Value b = right[rng() % right.size()];
+      csv += std::to_string(a) + "," + std::to_string(b) + "\n";
     }
     return csv;
   };
 }
 
-// --- workforce schema with symbolic constants -------------------------------
-
-struct WorkforceSize {
-  int workers, machines, tasks, projects, subtasks, resources;
-  int mw, wt, pt, st, rr;
-  WorkforceSize Scaled(double f) const {
-    auto s = [f](int v) { return std::max(4, static_cast<int>(v * f)); };
-    return {s(workers), s(machines), s(tasks), s(projects), s(subtasks),
-            s(resources), s(mw), s(wt), s(pt), s(st), s(rr)};
-  }
-};
-
-constexpr WorkforceSize kWorkforce = {8000, 2000, 1500, 300, 1500, 400,
-                                      16000, 16000, 3000, 3000, 4000};
-
-constexpr int kInstancesPerShape = 5;
-
 // Seed of the fixed structures the run's seed relabels (see Relabel).
 constexpr std::uint64_t kStructureSeed = 1;
 
-// Post-window ingests of the traced run, for workloads without a writer.
+// Post-window ingests of the traced run.
 constexpr int kProbeBatches = 20;
-
-// Random distinct (a, b) index pairs, rendered by `row`.
-template <typename Row>
-std::string Pairs(int count, int a_range, int b_range, std::mt19937_64* rng,
-                  std::vector<std::pair<int, int>>* out, const Row& row) {
-  std::set<std::pair<int, int>> seen;
-  std::string csv;
-  while (static_cast<int>(seen.size()) < count) {
-    int a = static_cast<int>((*rng)() % static_cast<std::uint64_t>(a_range));
-    int b = static_cast<int>((*rng)() % static_cast<std::uint64_t>(b_range));
-    if (!seen.emplace(a, b).second) continue;
-    out->emplace_back(a, b);
-    csv += row(a, b);
-  }
-  return csv;
-}
-
-// The workforce database of the paper's running example (Q0's schema),
-// every entity a symbolic name, loaded from generated CSV text. Returns
-// the repeated point shapes over it: bound-constant lookups, paths and a
-// star.
-DatabaseSpec MakeWorkforce(const WorkforceSize& s, std::uint64_t seed,
-                           std::vector<QuerySpec>* shapes) {
-  // The structure (who works on what) comes from a fixed seed; the run's
-  // seed permutes each entity type's names and picks the query constants,
-  // so seeds differ in every name and constant but not in join sizes.
-  std::mt19937_64 rng(Mix(kStructureSeed, 1));
-  std::map<std::string, std::vector<int>> perms;
-  auto permute = [&perms, seed](const std::string& prefix, int n) {
-    std::vector<int>& perm = perms[prefix];
-    perm.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
-    std::mt19937_64 shuffle_rng(
-        Mix(seed, static_cast<std::uint64_t>(prefix[0]) * 256 + static_cast<std::uint64_t>(prefix[1])));
-    std::shuffle(perm.begin(), perm.end(), shuffle_rng);
-  };
-  permute("mc", s.machines);
-  permute("wk", s.workers);
-  permute("tk", s.tasks);
-  permute("pj", s.projects);
-  permute("sb", s.subtasks);
-  permute("rs", s.resources);
-  perms["if"] = perms["wk"];
-  auto label = [&perms](const char* prefix, int i) {
-    return Name(prefix, static_cast<std::uint64_t>(perms[prefix][static_cast<std::size_t>(i)]));
-  };
-  DatabaseSpec spec;
-  spec.name = "workforce";
-  std::vector<std::pair<int, int>> mw, wt, pt, st, rr;
-  LoadCsv(&spec, "mw",
-          Pairs(s.mw, s.machines, s.workers, &rng, &mw, [&](int m, int w) {
-            return label("mc", m) + "," + label("wk", w) + "," +
-                   std::to_string(1 + rng() % 40) + "\n";
-          }));
-  std::string wi;
-  for (int w = 0; w < s.workers; ++w) {
-    wi += label("wk", w) + "," + label("if", w) + "\n";
-  }
-  LoadCsv(&spec, "wi", wi);
-  LoadCsv(&spec, "wt",
-          Pairs(s.wt, s.workers, s.tasks, &rng, &wt, [&](int w, int t) {
-            return label("wk", w) + "," + label("tk", t) + "\n";
-          }));
-  LoadCsv(&spec, "pt",
-          Pairs(s.pt, s.projects, s.tasks, &rng, &pt, [&](int p, int t) {
-            return label("pj", p) + "," + label("tk", t) + "\n";
-          }));
-  LoadCsv(&spec, "st",
-          Pairs(s.st, s.tasks, s.subtasks, &rng, &st, [&](int t, int u) {
-            return label("tk", t) + "," + label("sb", u) + "\n";
-          }));
-  // rr's first column mixes tasks and subtasks, so rr(D,H) and rr(F,H)
-  // both find tuples (as in the paper's schema).
-  LoadCsv(&spec, "rr",
-          Pairs(s.rr, s.tasks + s.subtasks, s.resources, &rng, &rr,
-                [&](int x, int r) {
-                  return (x < s.tasks ? label("tk", x) : label("sb", x - s.tasks)) +
-                         "," + label("rs", r) + "\n";
-                }));
-  spec.db.DedupAll();
-
-  std::mt19937_64 pick_rng(Mix(seed, 7));
-  auto pick = [&pick_rng](const std::vector<std::pair<int, int>>& rows) {
-    return rows[pick_rng() % rows.size()];
-  };
-  // Join-project: a selection and one small join per shape. Backtracking
-  // takes up to 60 ms on the path shapes, and ingest_serve checks every
-  // shape at every generation.
-  auto q = [&spec](std::string text) {
-    return Query(spec.name, std::move(text), OracleKind::kJoinProject);
-  };
-  // Each shape is bound to several constants, so a seed's choice of an
-  // unusually busy worker or project does not move the workload's cost.
-  for (int i = 0; i < kInstancesPerShape; ++i) {
-    const std::string w1 = label("wk", pick(wt).first);
-    const std::string t2 = label("tk", pick(wt).second);
-    const std::string w3 = label("wk", pick(wt).first);
-    const std::string p4 = label("pj", pick(pt).first);
-    const std::string w5 = label("wk", pick(mw).second);
-    const std::string p7 = label("pj", pick(pt).first);
-    shapes->push_back(q("Q(T) <- wt('" + w1 + "',T)"));
-    shapes->push_back(q("Q(W) <- wt(W,'" + t2 + "')"));
-    shapes->push_back(q("Q(P) <- wt('" + w3 + "',T), pt(P,T)"));
-    shapes->push_back(q("Q(S) <- pt('" + p4 + "',T), st(T,S)"));
-    shapes->push_back(q("Q(M,T,E) <- mw(M,'" + w5 + "',H), wt('" + w5 +
-                        "',T), wi('" + w5 + "',E)"));
-    shapes->push_back(q("Q(R) <- pt('" + p7 + "',T), rr(T,R)"));
-  }
-  return spec;
-}
 
 // `db` with its values permuted by a seeded bijection of its own value
 // set. The analytic workloads' instances are generated once, from a fixed
@@ -278,58 +129,13 @@ Database Relabel(const Database& db, std::uint64_t seed) {
   return out;
 }
 
-// The paper's own Q0 over its small numeric workforce instance, as a
-// separate database of the catalog: a 9-atom, width-2 shape whose warm
-// execution stays sub-millisecond.
-void AddPaperQ0(Workload* w, std::uint64_t seed) {
-  sharpcq::Q0DatabaseParams params;
-  params.seed = Mix(seed, 5);
-  w->databases.push_back({"q0", sharpcq::MakeQ0Database(params), {}});
-  w->queries.push_back(
-      Query("q0", sharpcq::MakeQ0().DebugString(), OracleKind::kBacktracking));
-}
-
 std::vector<int> Iota(std::size_t n) {
   std::vector<int> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<int>(i);
   return v;
 }
 
-// --- the four workloads -------------------------------------------------------
-
-Workload PointRepeat(std::uint64_t seed, bool tiny) {
-  Workload w;
-  // Three clients: a single connection thread runs on one vCPU for the
-  // whole window, and on a shared host vCPUs differ in speed from run to
-  // run (count_p50_ms was bimodal across runs with one or two clients).
-  w.clients = 3;
-  w.databases.push_back(
-      MakeWorkforce(tiny ? kWorkforce.Scaled(0.05) : kWorkforce, seed, &w.queries));
-  AddPaperQ0(&w, seed);
-  w.cycle = Iota(w.queries.size());
-  w.warmup_requests = tiny ? w.cycle.size() : 300;
-  w.ingest_db = "workforce";
-  w.ingest_relation = "wt";
-  w.probe_batches = tiny ? 3 : kProbeBatches;
-  w.swap_queries = Iota(w.queries.size() - 1);  // all but Q0, on the q0 db
-  w.batch = PairBatches(w.databases[0], "wt", 50, 10, seed);
-  return w;
-}
-
-Workload IngestServe(std::uint64_t seed, bool tiny) {
-  Workload w;
-  w.clients = 1;
-  w.databases.push_back(MakeWorkforce(kWorkforce.Scaled(tiny ? 0.05 : 0.5),
-                                      seed, &w.queries));
-  AddPaperQ0(&w, seed);
-  w.cycle = Iota(w.queries.size());
-  w.warmup_requests = tiny ? w.cycle.size() : 300;
-  w.ingest_db = "workforce";
-  w.ingest_relation = "wt";
-  w.writer_hz = 5.0;
-  w.batch = PairBatches(w.databases[0], "wt", 200, 10, seed);
-  return w;
-}
+// --- the workloads ------------------------------------------------------------
 
 // The catalog's relations for ad-hoc queries: arity 1, 2 and 3.
 struct RelationShape {
@@ -341,7 +147,10 @@ constexpr RelationShape kAdhocRelations[] = {
 
 // Distinct random CQs (6-10 variables, 5-9 atoms, arity <= 3, one or two
 // free variables; half alpha-acyclic by construction), renamed onto the
-// adhoc database's relations by arity. Only queries the planner counts
+// adhoc database's relations by arity. The shapes come from the fixed
+// structure seed, since their costs differ widely (one seed's pool took
+// half again the CPU per count of another's); the run's seed permutes
+// each query's variable names. Only queries the planner counts
 // with a width-1 #-hypertree decomposition are kept: on this data a
 // width-2 bag joins two whole relations and takes up to hundreds of ms,
 // which would make the workload about a few outliers instead of planning.
@@ -353,7 +162,7 @@ const std::vector<QuerySpec>& AdhocPool(std::uint64_t seed, bool tiny) {
   std::vector<QuerySpec>& queries = pools[{seed, tiny}];
   const std::size_t pool = tiny ? 64 : 2048;
   for (std::uint64_t i = 0; queries.size() < pool; ++i) {
-    std::uint64_t r = Mix(seed, 0xADC00000ull + i);
+    std::uint64_t r = Mix(kStructureSeed, 0xADC00000ull + i);
     sharpcq::RandomQueryParams params;
     params.num_vars = 6 + static_cast<int>(r % 5);
     params.num_atoms = 5 + static_cast<int>((r >> 8) % 5);
@@ -363,10 +172,20 @@ const std::vector<QuerySpec>& AdhocPool(std::uint64_t seed, bool tiny) {
     params.force_acyclic = i % 2 == 0;
     params.seed = r;
     ConjunctiveQuery q = sharpcq::MakeRandomQuery(params);
+    // Names only: the parser numbers variables by first occurrence, so
+    // every seed's renaming parses to the same numbered query and plans
+    // the same way.
+    std::vector<int> names = Iota(static_cast<std::size_t>(params.num_vars));
+    std::mt19937_64 rename_rng(Mix(seed, 0xADC00000ull + i));
+    std::shuffle(names.begin(), names.end(), rename_rng);
+    // MakeRandomQuery interns V0, V1, ... first, so ids index `names`.
+    auto name = [&names](sharpcq::VarId v) {
+      return "V" + std::to_string(names.at(static_cast<std::size_t>(v)));
+    };
     std::string text = "Q(";
     for (sharpcq::VarId v : q.free_vars()) {
       if (text.size() > 2) text += ",";
-      text += q.VarName(v);
+      text += name(v);
     }
     text += ") <- ";
     for (std::size_t a = 0; a < q.atoms().size(); ++a) {
@@ -378,7 +197,7 @@ const std::vector<QuerySpec>& AdhocPool(std::uint64_t seed, bool tiny) {
                                   : "t" + std::to_string(k % 2);
       text += "(";
       for (std::size_t t = 0; t < atom.terms.size(); ++t) {
-        text += (t > 0 ? "," : "") + q.VarName(atom.terms[t].var);
+        text += (t > 0 ? "," : "") + name(atom.terms[t].var);
       }
       text += ")";
     }
@@ -408,7 +227,7 @@ Workload AdhocShapes(std::uint64_t seed, bool tiny) {
       if (seen.insert(row).second) db.AddTuple(relation, row);
     }
   }
-  w.databases.push_back({"adhoc", Relabel(db, seed), {}});
+  w.databases.push_back({"adhoc", Relabel(db, seed)});
   w.queries = AdhocPool(seed, tiny);
   w.cycle = Iota(w.queries.size());
   w.warmup_requests = tiny ? 8 : 1000;
@@ -425,14 +244,14 @@ Workload AdhocShapes(std::uint64_t seed, bool tiny) {
     const Value b = static_cast<Value>(rng() % (ledger_rows / 4));
     if (seen.emplace(a, b).second) ledger.AddTuple("ledger", {a, b});
   }
-  w.databases.push_back({"ledger", Relabel(ledger, seed), {}});
+  w.databases.push_back({"ledger", Relabel(ledger, seed)});
   w.queries.push_back(Query("ledger", "Q(X) <- ledger(X,Y), ledger(Y,Z)",
                             OracleKind::kJoinProject));
   w.ingest_db = "ledger";
   w.ingest_relation = "ledger";
   w.probe_batches = tiny ? 3 : kProbeBatches;
   w.swap_queries = {static_cast<int>(w.queries.size() - 1)};
-  w.batch = PairBatches(w.databases[1], "ledger", 50, 0, seed);
+  w.batch = PairBatches(w.databases[1], "ledger", 50, seed);
   return w;
 }
 
@@ -444,8 +263,7 @@ Workload AnalyticRepeat(std::uint64_t seed, bool tiny) {
   DatabaseSpec chain{"chain",
                      Relabel(sharpcq::MakeQn1RandomDatabase(chain_nodes, chain_nodes,
                                                             kStructureSeed),
-                             seed),
-                     {}};
+                             seed)};
   w.queries.push_back(
       Query("chain", sharpcq::MakeQn1(5).DebugString(), OracleKind::kJoinProject));
   // Q0 over a numeric workforce instance: #-hypertree width 2.
@@ -455,7 +273,7 @@ Workload AnalyticRepeat(std::uint64_t seed, bool tiny) {
   p.subtasks *= f, p.resources *= f, p.mw_tuples *= f, p.wt_tuples *= f;
   p.pt_tuples *= f, p.st_tuples *= f, p.rr_tuples *= f;
   p.seed = kStructureSeed;
-  DatabaseSpec workforce{"workforce", Relabel(sharpcq::MakeQ0Database(p), seed), {}};
+  DatabaseSpec workforce{"workforce", Relabel(sharpcq::MakeQ0Database(p), seed)};
   w.queries.push_back(Query("workforce", sharpcq::MakeQ0().DebugString(),
                             OracleKind::kJoinProject));
   // Qh2: acyclic, counted by PS13; the generator fixes the count at 2^h.
@@ -463,7 +281,7 @@ Workload AnalyticRepeat(std::uint64_t seed, bool tiny) {
   // snapshot-backed instance lets the cost model steer Qh2 to #b, which
   // takes seconds where PS13 takes milliseconds.
   const int h = tiny ? 6 : 12;
-  DatabaseSpec qh2{"qh2", Relabel(sharpcq::MakeQh2Database(h), seed), {}};
+  DatabaseSpec qh2{"qh2", Relabel(sharpcq::MakeQh2Database(h), seed)};
   w.queries.push_back(
       Query("qh2", sharpcq::MakeQh2(h).DebugString(), OracleKind::kClosedForm));
   w.queries.back().closed_form = std::to_string(std::uint64_t{1} << h);
@@ -471,8 +289,7 @@ Workload AnalyticRepeat(std::uint64_t seed, bool tiny) {
   // Qbar_h2: planned as hybrid #b (the decomposition search runs per
   // execution).
   DatabaseSpec qbar{
-      "qbar", Relabel(sharpcq::MakeQbarh2Database(tiny ? 3 : 4, tiny ? 5 : 40), seed),
-      {}};
+      "qbar", Relabel(sharpcq::MakeQbarh2Database(tiny ? 3 : 4, tiny ? 5 : 40), seed)};
   w.queries.push_back(Query("qbar", sharpcq::MakeQbarh2(tiny ? 3 : 4).DebugString(),
                             OracleKind::kBacktracking));
   w.databases.push_back(std::move(chain));
@@ -488,7 +305,7 @@ Workload AnalyticRepeat(std::uint64_t seed, bool tiny) {
   w.ingest_relation = "r";
   w.probe_batches = tiny ? 3 : kProbeBatches;
   w.swap_queries = {0};
-  w.batch = PairBatches(w.databases[0], "r", 50, 0, seed);
+  w.batch = PairBatches(w.databases[0], "r", 50, seed);
   return w;
 }
 
@@ -558,24 +375,15 @@ const DatabaseSpec& Workload::Database(const std::string& name) const {
   std::abort();
 }
 
-const std::vector<std::string>& WorkloadNames() {
-  static const std::vector<std::string> names = {
-      "point_repeat", "adhoc_shapes", "analytic_repeat", "ingest_serve"};
-  return names;
-}
-
-Workload MakeWorkload(const std::string& name, std::uint64_t seed, bool tiny) {
-  Workload w = name == "point_repeat"      ? PointRepeat(seed, tiny)
-               : name == "adhoc_shapes"    ? AdhocShapes(seed, tiny)
-               : name == "analytic_repeat" ? AnalyticRepeat(seed, tiny)
-               : name == "ingest_serve"    ? IngestServe(seed, tiny)
-                                           : Workload{};
-  if (w.queries.empty()) {
-    std::fprintf(stderr, "perfbench: unknown workload %s\n", name.c_str());
-    std::abort();
+std::optional<Workload> MakeWorkload(const std::string& name, std::uint64_t seed,
+                                     bool tiny) {
+  std::optional<Workload> w;
+  if (name == "adhoc_shapes") w = AdhocShapes(seed, tiny);
+  if (name == "analytic_repeat") w = AnalyticRepeat(seed, tiny);
+  if (w.has_value()) {
+    w->name = name;
+    w->seed = seed;
   }
-  w.name = name;
-  w.seed = seed;
   return w;
 }
 
@@ -584,10 +392,7 @@ bool PopulateCatalog(const Workload& w, const std::string& root,
   sharpcq::Catalog catalog(root);
   for (const DatabaseSpec& spec : w.databases) {
     sharpcq::Status status;
-    if (!catalog
-             .Ingest(spec.name, spec.db,
-                     spec.dict.size() > 0 ? &spec.dict : nullptr, &status)
-             .has_value()) {
+    if (!catalog.Ingest(spec.name, spec.db, nullptr, &status).has_value()) {
       *error = "ingest " + spec.name + ": " + status.ToString();
       return false;
     }
@@ -599,37 +404,27 @@ std::vector<std::pair<std::string, std::string>> DescribeWorkload(
     const Workload& w) {
   std::vector<std::pair<std::string, std::string>> out;
   std::string rows;
-  std::size_t dict = 0;
   for (const DatabaseSpec& spec : w.databases) {
     for (const std::string& relation : spec.db.SortedRelationNames()) {
       if (!rows.empty()) rows += " ";
       rows += spec.name + "." + relation + "=" +
               std::to_string(spec.db.relation(relation).size());
     }
-    dict += spec.dict.size();
   }
   out.emplace_back("rows", rows);
-  out.emplace_back("dict_names", std::to_string(dict));
   out.emplace_back("distinct_queries", std::to_string(w.queries.size()));
   out.emplace_back("loop", "closed");
   out.emplace_back("clients", std::to_string(w.clients));
-  if (w.writer_hz > 0) {
-    out.emplace_back("writer", "open loop " + Num(w.writer_hz) +
-                                   "/s into " + w.ingest_db + "." +
-                                   w.ingest_relation);
-  } else {
-    out.emplace_back("writer", "none; the traced run sends " +
-                                   std::to_string(w.probe_batches) +
-                                   " post-window probe ingests into " +
-                                   w.ingest_db + "." + w.ingest_relation);
-  }
+  out.emplace_back("probe_ingests", std::to_string(w.probe_batches) +
+                                        " after the traced window, into " +
+                                        w.ingest_db + "." + w.ingest_relation);
   out.emplace_back("batch_bytes", std::to_string(w.batch(0).size()));
   return out;
 }
 
 std::uint64_t AnswerChecker::Verify() {
-  // Queries are parsed once, against the generated dictionaries: ingests
-  // only append names, so a constant's value never changes.
+  // Queries are parsed once; the data is numeric, so ingests never change
+  // a constant's value.
   std::map<int, std::optional<ConjunctiveQuery>> parsed;
   std::vector<decltype(pending_)::const_iterator> items;
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
@@ -637,14 +432,13 @@ std::uint64_t AnswerChecker::Verify() {
     const int query = it->first.second;
     if (parsed.count(query) > 0) continue;
     const QuerySpec& spec = w_.queries[static_cast<std::size_t>(query)];
-    ValueDict dict = w_.Database(spec.db).dict;
-    parsed[query] = sharpcq::ParseQuery(spec.text, &dict);
+    parsed[query] = sharpcq::ParseQuery(spec.text);
   }
 
   // A few threads (the daemon has stopped, so they take no CPU from a
   // measurement) claim items in (batches applied, query) order; each keeps
-  // its own copy of the data and appends the writer's batches as its
-  // items need them.
+  // its own copy of the data and appends the probe batches as its items
+  // need them.
   std::vector<std::pair<std::string, const char*>> expected(items.size());
   std::atomic<std::size_t> next{0};
   auto work = [&] {

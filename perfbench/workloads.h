@@ -1,12 +1,13 @@
 #ifndef PERFBENCH_WORKLOADS_H_
 #define PERFBENCH_WORKLOADS_H_
 
-// The benchmark's four workloads: seeded data, the request stream a run
-// sends, and the expected answers it is checked against.
+// The benchmark's workloads: seeded data, the request stream a run sends,
+// and the expected answers it is checked against.
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,8 +43,7 @@ struct QuerySpec {
 
 struct DatabaseSpec {
   std::string name;
-  sharpcq::Database db;
-  sharpcq::ValueDict dict;  // empty for numeric data
+  sharpcq::Database db;  // numeric values only
 };
 
 struct Workload {
@@ -59,15 +59,13 @@ struct Workload {
   std::vector<int> cycle;
   std::size_t warmup_requests = 0;  // sent before the timed window
 
-  // The writer: CSV batches appended to ingest_db/ingest_relation; batch(k)
-  // is a pure function of (seed, k). With writer_hz > 0 the batches go out
-  // open-loop at that rate during the window. Otherwise the traced run
-  // sends `probe_batches` of them after its window, closed-loop, batch k
-  // followed by one count of SwapQuery(k) on the new generation, so the
-  // storage and data layers' write path is timed on every workload.
+  // Probe ingests: CSV batches appended to ingest_db/ingest_relation;
+  // batch(k) is a pure function of (seed, k). The traced run sends
+  // `probe_batches` of them after its window, batch k followed by one count
+  // of SwapQuery(k) on the new generation, so the storage and data layers'
+  // write path is timed on every workload.
   std::string ingest_db;
   std::string ingest_relation;
-  double writer_hz = 0.0;
   int probe_batches = 0;
   // Queries over ingest_db that the probes' counts rotate through, so the
   // freshness cost is not one query's cost.
@@ -79,19 +77,17 @@ struct Workload {
   const DatabaseSpec& Database(const std::string& name) const;
 };
 
-// The workload names, in BENCHMARK.json order.
-const std::vector<std::string>& WorkloadNames();
-
 // Builds workload `name` from `seed`; `tiny` shrinks every size for the
-// smoke test. Aborts on an unknown name (callers check WorkloadNames()).
-Workload MakeWorkload(const std::string& name, std::uint64_t seed, bool tiny);
+// smoke test. nullopt for an unknown name.
+std::optional<Workload> MakeWorkload(const std::string& name, std::uint64_t seed,
+                                     bool tiny);
 
 // Writes every database of `w` as generation 1 of a fresh catalog at root.
 bool PopulateCatalog(const Workload& w, const std::string& root,
                      std::string* error);
 
 // Descriptive figures of a workload for the properties line: relation
-// sizes, dictionary size, distinct queries, loop type and client count.
+// sizes, distinct queries, loop type and client count.
 std::vector<std::pair<std::string, std::string>> DescribeWorkload(
     const Workload& w);
 
