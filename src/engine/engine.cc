@@ -191,6 +191,7 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
   CountResult result;
   {
     TraceSpan span("execute");
+    const MonotonicClock::time_point execute_start = MonotonicNow();
     try {
       CheckExecInterrupt();  // expired before execution: fail without a probe
       result = ExecutePlan(*planned.plan, db);
@@ -206,6 +207,9 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
       result.method = "interrupted";
       result.mem_refused_bytes = exhausted.requested_bytes;
     }
+    // Stamped here rather than by ExecutePlan so interrupted and refused
+    // executions report the time they ran too.
+    result.execute_ms = ElapsedMs(execute_start);
     // Pool workers contribute through the ExecStats atomics, never the
     // trace; their totals are annotated here, when the span closes.
     span.Note("method", result.method);

@@ -8,7 +8,6 @@
 #include "hypergraph/acyclic.h"
 #include "query/atom_relation.h"
 #include "util/check.h"
-#include "util/clock.h"
 #include "util/trace.h"
 
 namespace sharpcq {
@@ -81,7 +80,6 @@ CountResult CountByAcyclicPs13(const ConjunctiveQuery& q, const Database& db) {
 }
 
 CountResult ExecutePlan(const CountingPlan& plan, const Database& db) {
-  const MonotonicClock::time_point start = MonotonicNow();
   CountResult result;
   switch (plan.strategy) {
     case PlanStrategy::kSharpHypertree:
@@ -100,7 +98,6 @@ CountResult ExecutePlan(const CountingPlan& plan, const Database& db) {
       break;
     }
   }
-  result.execute_ms = ElapsedMs(start);
   return result;
 }
 

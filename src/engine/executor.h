@@ -9,7 +9,8 @@ namespace sharpcq {
 
 // The executor: the database-dependent half of counting. Materializes a
 // CountingPlan against a concrete database and returns the exact count with
-// provenance (method string, width, execute_ms).
+// provenance (method string, width; CountingEngine::Count stamps
+// execute_ms).
 //
 // Thread safety: ExecutePlan is a pure function of (plan, db) — every
 // scratch structure (materialized bags, join-tree instances, the hybrid

@@ -1,5 +1,6 @@
 #include "hybrid/degree.h"
 
+#include "core/materialize.h"
 #include "query/atom_relation.h"
 #include "util/check.h"
 
@@ -30,18 +31,11 @@ JoinTreeInstance MaterializeHypertree(const ConjunctiveQuery& q,
   instance.shape = ht.shape;
   instance.nodes.reserve(ht.chi.size());
   for (std::size_t v = 0; v < ht.chi.size(); ++v) {
-    SHARPCQ_CHECK_MSG(!ht.lambda[v].empty(), "vertex without guard atoms");
-    Rel joined = AtomToRel(
-        q.atoms()[static_cast<std::size_t>(ht.lambda[v][0])], db);
-    for (std::size_t g = 1; g < ht.lambda[v].size(); ++g) {
-      joined = Join(joined,
-                    AtomToRel(
-                        q.atoms()[static_cast<std::size_t>(ht.lambda[v][g])],
-                        db));
+    std::vector<Rel> guards;
+    for (int g : ht.lambda[v]) {
+      guards.push_back(AtomToRel(q.atoms()[static_cast<std::size_t>(g)], db));
     }
-    SHARPCQ_CHECK_MSG(ht.chi[v].IsSubsetOf(joined.vars()),
-                      "chi not contained in vars(lambda)");
-    instance.nodes.push_back(Project(joined, ht.chi[v]));
+    instance.nodes.push_back(MaterializeBag(ht.chi[v], std::move(guards), {}));
   }
   return instance;
 }

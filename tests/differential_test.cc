@@ -9,13 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 
+#include "algebra/exec_policy.h"
 #include "core/enumerate_answers.h"
 #include "count/enumeration.h"
 #include "engine/engine.h"
+#include "engine/planner.h"
 #include "gen/random_gen.h"
 #include "hypergraph/acyclic.h"
+#include "hypergraph/hypergraph.h"
 #include "tests/test_util.h"
+#include "util/mem_budget.h"
 
 namespace sharpcq {
 namespace {
@@ -184,6 +189,113 @@ TEST(DifferentialOracleTest, BatchAgreesWithSequentialOnMixedWorkload) {
     EXPECT_EQ(results[i].count, CountByBacktracking(cases[i].query, cases[i].db))
         << "seed " << cases[i].seed << " via " << results[i].method;
   }
+}
+
+// --- width-2/3 bags over thousand-row relations ------------------------------
+//
+// The cases above use tiny databases. Here the queries are ones whose
+// #-hypertree plan needs bags of two or three guards, over relations of
+// about a thousand rows, so each bag's guard joins are large enough for
+// join order and early projection to matter.
+
+// A connected random CQ with a width-k #-hypertree plan, k in [min_width,
+// 3]; nullopt for other seeds. `dense` draws many atoms over few variables
+// (where width 3 occurs); otherwise the shapes are ad-hoc-like (6-10
+// variables, 5-9 atoms, 4 relation symbols). Disconnected queries are
+// skipped: join-project, the oracle here, would multiply their components.
+std::optional<ConjunctiveQuery> WideQuery(std::uint64_t seed, bool dense,
+                                          int min_width, int* width) {
+  std::mt19937_64 shape(seed);
+  RandomQueryParams qp;
+  qp.num_vars = dense ? 7 + static_cast<int>(shape() % 4)
+                      : 6 + static_cast<int>(shape() % 5);
+  qp.num_atoms = dense ? 10 + static_cast<int>(shape() % 4)
+                       : 5 + static_cast<int>(shape() % 5);
+  qp.max_arity = 3;
+  qp.num_free = 1 + static_cast<int>(shape() % 2);
+  qp.num_relations = dense ? 12 : 4;
+  qp.seed = seed;
+  ConjunctiveQuery q = MakeRandomQuery(qp);
+  if (ConnectedComponents(q.BuildHypergraph()).size() != 1) {
+    return std::nullopt;
+  }
+  const CountingPlan plan = MakePlan(q);
+  if (plan.strategy != PlanStrategy::kSharpHypertree ||
+      plan.width_budget < min_width) {
+    return std::nullopt;
+  }
+  *width = plan.width_budget;
+  return q;
+}
+
+// 1000 random rows per relation over values 0..499, plus the tuples of 40
+// planted assignments of all variables, so that the counts are not all
+// zero while the random part stays sparse enough for join-project.
+Database ThousandRowDatabase(const ConjunctiveQuery& q, std::uint64_t seed) {
+  constexpr Value kDomain = 500;
+  std::mt19937_64 rng(seed);
+  Database db;
+  for (const Atom& atom : q.atoms()) {
+    if (db.HasRelation(atom.relation)) continue;
+    Relation& rel = db.DeclareRelation(atom.relation, atom.arity());
+    std::vector<Value> row(static_cast<std::size_t>(atom.arity()));
+    for (int i = 0; i < 1000; ++i) {
+      for (Value& v : row) v = static_cast<Value>(rng() % kDomain);
+      rel.AddRow(row);
+    }
+  }
+  std::vector<Value> assignment(q.name_table()->names.size());
+  for (int planted = 0; planted < 40; ++planted) {
+    for (Value& v : assignment) v = static_cast<Value>(rng() % kDomain);
+    for (const Atom& atom : q.atoms()) {
+      std::vector<Value> row;
+      for (const Term& t : atom.terms) row.push_back(assignment[t.var]);
+      db.mutable_relation(atom.relation).AddRow(row);
+    }
+  }
+  for (const Atom& atom : q.atoms()) db.mutable_relation(atom.relation).Dedup();
+  return db;
+}
+
+TEST(DifferentialOracleTest, WideBagsOverThousandRowRelationsAgree) {
+  CountingEngine engine;
+  int cases = 0;
+  int width3 = 0;
+  int nonzero = 0;
+  auto check = [&](const ConjunctiveQuery& q, std::uint64_t seed, int width) {
+    const Database db = ThousandRowDatabase(q, seed);
+    // The oracle's joins run under a budget, so a blow-up fails the case
+    // instead of exhausting the host.
+    MemoryBudget budget(std::uint64_t{256} << 20);
+    ExecPolicy policy;
+    policy.query_memory = &budget;
+    CountInt expected = 0;
+    {
+      ExecScope scope(std::move(policy));
+      expected = CountByJoinProject(q, db);
+    }
+    const CountResult result = engine.Count(q, db);
+    EXPECT_EQ(result.count, expected)
+        << "seed " << seed << " via " << result.method << ": "
+        << q.DebugString();
+    EXPECT_EQ(result.method, "#-hypertree(k=" + std::to_string(width) + ")");
+    ++cases;
+    if (width == 3) ++width3;
+    if (expected > 0) ++nonzero;
+  };
+  int width = 0;
+  for (std::uint64_t seed = 1; cases < 54; ++seed) {
+    if (auto q = WideQuery(seed, /*dense=*/false, 2, &width)) {
+      check(*q, seed, width);
+    }
+  }
+  for (std::uint64_t seed = 1; width3 < 6; ++seed) {
+    if (auto q = WideQuery(seed, /*dense=*/true, 3, &width)) {
+      check(*q, seed, width);
+    }
+  }
+  EXPECT_EQ(cases, 60);
+  EXPECT_GT(nonzero, 50);
 }
 
 }  // namespace

@@ -295,10 +295,11 @@ TEST(ExecutorTest, FilterProvenanceCountsMissHeavyProbesAndGatesOff) {
   Database db;
   Relation& r = db.DeclareRelation("r", 2);
   Relation& s = db.DeclareRelation("s", 2);
-  // 380 of r's 400 join-key values are absent from s: the reducer's
-  // semijoin over r is miss-heavy, the shape the filters absorb.
+  // The query is one width-2 bag, materialized from its smaller guard: r's
+  // 400 rows probe the 1000-row s, and 380 of their join-key values are
+  // absent from s — a miss-heavy probe, the shape the filters absorb.
   for (Value i = 0; i < 400; ++i) r.AddRow({i, i + 1000});
-  for (Value i = 0; i < 20; ++i) s.AddRow({i + 1000, i});
+  for (Value i = 0; i < 1000; ++i) s.AddRow({i + 1380, i});
 
   CountingEngine filtered;
   CountResult with = filtered.Count(q, db);

@@ -30,7 +30,9 @@
 
 #include "algebra/table.h"
 #include "data/csv.h"
+#include "count/enumeration.h"
 #include "engine/engine.h"
+#include "gen/paper_queries.h"
 #include "gen/random_gen.h"
 #include "query/parser.h"
 #include "server/client.h"
@@ -462,6 +464,7 @@ TEST(MemoryBudgetEngineTest, TinyBudgetRefusesAndEngineStaysUsable) {
   const CountResult refused = engine.Count(Parse(kBigQuery), big);
   EXPECT_EQ(refused.status, CountStatus::kResourceExhausted);
   EXPECT_GT(refused.mem_refused_bytes, 0u);
+  EXPECT_GT(refused.execute_ms, 0.0);  // the refused execution still ran
 
   // Same engine, a query that fits: full service continues.
   const Database small = SmallDatabase();
@@ -472,6 +475,29 @@ TEST(MemoryBudgetEngineTest, TinyBudgetRefusesAndEngineStaysUsable) {
   // And the big query still refuses deterministically.
   EXPECT_EQ(engine.Count(Parse(kBigQuery), big).status,
             CountStatus::kResourceExhausted);
+}
+
+TEST(MemoryBudgetEngineTest, WidthTwoWorkforceCountFitsInOneMebibyte) {
+  // Q0 over the workforce instance with every size x15. Its bag {B,D,H}
+  // is guarded by rr(G,H) and wt(B,D), which share no variable: joining
+  // the guards whole built a 450 x 300 cross product and was refused
+  // below 16 MiB. Bags built with projection-pushed joins stay small.
+  Q0DatabaseParams p;
+  const int f = 15;
+  p.machines *= f, p.workers *= f, p.tasks *= f, p.projects *= f;
+  p.subtasks *= f, p.resources *= f, p.mw_tuples *= f, p.wt_tuples *= f;
+  p.pt_tuples *= f, p.st_tuples *= f, p.rr_tuples *= f;
+  const Database db = MakeQ0Database(p);
+  const ConjunctiveQuery q = MakeQ0();
+
+  EngineOptions options;
+  options.max_query_bytes = std::uint64_t{1} << 20;
+  CountingEngine engine(options);
+  const CountResult result = engine.Count(q, db);
+  ASSERT_TRUE(result.ok()) << CountStatusName(result.status);
+  EXPECT_EQ(result.method, "#-hypertree(k=2)");
+  EXPECT_EQ(result.count, CountInt{75});
+  EXPECT_EQ(result.count, CountByBacktracking(q, db));
 }
 
 TEST(MemoryBudgetEngineTest, ProcessBudgetDrainsToZeroAfterEachCount) {

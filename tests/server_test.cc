@@ -220,6 +220,10 @@ TEST(EngineCancelTest, DeadlineExpiryMidBacktrackingReturnsDeadlineExceeded) {
   double elapsed_ms = MsSince(start);
   EXPECT_EQ(result.status, CountStatus::kDeadlineExceeded);
   EXPECT_EQ(result.method, "interrupted");
+  // The execution ran until the deadline stopped it: its time is part of
+  // the result even though the count is not.
+  EXPECT_GT(result.execute_ms, 0.0);
+  EXPECT_LE(result.execute_ms, elapsed_ms);
   // The point of the checkpoints: expiry stops the execution promptly
   // instead of letting a many-second count run to completion.
   EXPECT_LT(elapsed_ms, 5000.0);
