@@ -44,9 +44,10 @@ int main() {
     bool structural_ok =
         planned.plan->strategy == sharpcq::PlanStrategy::kSharpHypertree;
 
-    // The database-dependent half, through the engine: the #b-decomposition
-    // search and Theorem 6.6 count run inside Count; the method string
-    // carries the achieved (k, b).
+    // Through the engine. Count keys its plan by the database's profile
+    // too, so this first count plans again: it lists the #b candidates
+    // (query-only), then runs the degree-minimizing data step and the
+    // Theorem 6.6 count. The method string carries the achieved (k, b).
     auto t0 = std::chrono::steady_clock::now();
     sharpcq::CountResult hybrid = engine.Count(q, db, options);
     double hybrid_ms = MillisSince(t0);

@@ -22,19 +22,15 @@ CountResult ExecuteSharpHypertree(const CountingPlan& plan,
   return result;
 }
 
+// The #b search's data half over the plan's stored candidates, by
+// increasing width. Falls through to backtracking only when a finite
+// hybrid_max_b rejects every candidate at every width.
 CountResult ExecuteSharpB(const CountingPlan& plan, const Database& db) {
-  SharpBOptions options;
-  options.max_b = plan.options.hybrid_max_b;
-  options.max_cores = plan.options.max_cores;
-  options.max_subsets = plan.options.hybrid_max_subsets;
-  for (int k = 2; k <= plan.options.max_width; ++k) {
+  for (const SharpBCandidates& width : plan.sharp_b) {
     CheckExecInterrupt();
-    TraceSpan span("sharp_b_width");
-    span.NoteCount("k", static_cast<std::uint64_t>(k));
-    std::optional<CountResult> result =
-        CountBySharpBDecomposition(plan.query, db, k, options);
-    span.Note("decomposed", result.has_value() ? "yes" : "no");
-    if (result.has_value()) return *result;
+    std::optional<SharpBDecomposition> d = FindSharpBDecomposition(
+        plan.query, db, width, plan.options.hybrid_max_b);
+    if (d.has_value()) return CountViaSharpB(plan.query, db, *d);
   }
   TraceSpan span("backtracking");
   CountResult result;

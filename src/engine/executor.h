@@ -22,10 +22,10 @@ namespace sharpcq {
 // Strategy semantics:
 //   kSharpHypertree  Theorem 3.7 over the plan's stored decomposition.
 //   kAcyclicPs13     PS13 over the join tree of the plan's query itself.
-//   kSharpB          per-database #b-decomposition search (widths
-//                    2..max_width), Theorem 6.6 counting on success,
-//                    backtracking fallback otherwise — mirroring the legacy
-//                    hybrid facade.
+//   kSharpB          the #b search's data half over the plan's stored
+//                    candidates (Theorem 6.7), then Theorem 6.6 counting;
+//                    backtracking only when a finite hybrid_max_b rejects
+//                    every candidate.
 //   kBacktracking    the enumerate-with-projection baseline.
 CountResult ExecutePlan(const CountingPlan& plan, const Database& db);
 

@@ -3,9 +3,11 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/analyze.h"
 #include "core/sharp_decomposition.h"
+#include "hybrid/sharp_b.h"
 #include "query/conjunctive_query.h"
 
 namespace sharpcq {
@@ -20,9 +22,11 @@ enum class PlanStrategy {
   // acyclic query, cost exponential only in the instance's degree bound.
   kAcyclicPs13,
   // Theorems 6.6/6.7: hybrid #b-generalized hypertree decompositions. The
-  // decomposition search is database-dependent and therefore runs at
-  // execution time; the executor falls back to backtracking when no
-  // pseudo-free set qualifies.
+  // plan stores the search's query-only half (pseudo-free sets with their
+  // feasible cores and tree projections, CountingPlan::sharp_b); each count
+  // runs only the data half, which minimizes the degree b. Planned only
+  // when some width has a candidate; the executor falls back to
+  // backtracking only when a finite hybrid_max_b rejects every candidate.
   kSharpB,
   // The GS13 enumerate-with-projection baseline; always applicable.
   kBacktracking,
@@ -63,7 +67,8 @@ struct CostEstimate {
 };
 
 // The output of planning: everything about counting that depends on the
-// query alone, computed once and reusable against any database.
+// query alone, computed once and reusable against any database. Immutable
+// once built, so concurrent counts read it without locks.
 struct CountingPlan {
   // The (canonicalized, when produced via the engine) query the artifacts
   // below refer to. Executing the plan counts THIS query; by construction
@@ -84,6 +89,12 @@ struct CountingPlan {
   // width may be smaller).
   std::optional<SharpDecomposition> sharp;
   int width_budget = 0;
+
+  // kSharpB: the #b search's candidates per width, by increasing k. Only
+  // widths with a candidate are kept, and only the first of them unless
+  // hybrid_max_b is finite (with no cap, any candidate yields a
+  // decomposition). At most hybrid_max_subsets x max_cores cores per width.
+  std::vector<SharpBCandidates> sharp_b;
 
   CostEstimate cost;
   double planning_ms = 0.0;  // wall time MakePlan spent building this plan

@@ -11,7 +11,7 @@ namespace sharpcq {
 namespace {
 
 // Degree above which PS13's 4^h blowup is judged worse than the hybrid #b
-// route's per-database decomposition search. 256 = 4 histogram doublings
+// route's degree-minimizing decomposition. 256 = 4 histogram doublings
 // past the "uniformly small groups" regime; well clear of the key-like
 // degrees (1..8) that dominate benign instances.
 constexpr std::uint64_t kDegreeSteerThreshold = 256;
@@ -57,9 +57,8 @@ CostEstimate EstimateCost(const CountingPlan& plan) {
       cost.note = "x 4^h in the instance degree bound h (Theorem 6.2)";
       break;
     case PlanStrategy::kSharpB:
-      cost.db_exponent = static_cast<double>(plan.options.max_width) + 1.0;
-      cost.note = "x 4^b in the achieved degree b, plus the per-database "
-                  "#b-decomposition search (Theorem 6.7)";
+      cost.db_exponent = static_cast<double>(plan.sharp_b.front().k) + 1.0;
+      cost.note = "x 4^b in the achieved degree b (Theorem 6.7)";
       break;
     case PlanStrategy::kBacktracking:
       // One witness search per candidate answer; worst case exponential in
@@ -69,6 +68,26 @@ CostEstimate EstimateCost(const CountingPlan& plan) {
       break;
   }
   return cost;
+}
+
+// The #b search's query-only half for widths 2..max_width. With no bound cap
+// the first width with a candidate is the last one needed: its first
+// candidate always yields a decomposition.
+std::vector<SharpBCandidates> CollectSharpBWidths(
+    const ConjunctiveQuery& q, const PlannerOptions& options) {
+  SharpBOptions sharpb;
+  sharpb.max_b = options.hybrid_max_b;
+  sharpb.max_cores = options.max_cores;
+  sharpb.max_subsets = options.hybrid_max_subsets;
+  const bool capped = sharpb.max_b != static_cast<std::size_t>(-1);
+  std::vector<SharpBCandidates> widths;
+  for (int k = 2; k <= options.max_width; ++k) {
+    SharpBCandidates width = CollectSharpBCandidates(q, k, sharpb);
+    if (width.candidates.empty()) continue;
+    widths.push_back(std::move(width));
+    if (!capped) break;
+  }
+  return widths;
 }
 
 }  // namespace
@@ -110,15 +129,21 @@ CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
     // Data-aware tie-break: when the profile shows a relation with groups
     // past the degree threshold and the hybrid gate is open, route to #b —
     // its cost grows with the achieved degree b of a fresh decomposition,
-    // not with the instance's raw degree bound h.
+    // not with the instance's raw degree bound h. With no #b candidate at
+    // any width, PS13 stays.
     if (profile != nullptr && options.enable_hybrid &&
-        options.max_width >= 2 &&
         MaxQueryDegree(q, *profile) > kDegreeSteerThreshold) {
-      plan.strategy = PlanStrategy::kSharpB;
-      plan.cost_model_steered = true;
+      plan.sharp_b = CollectSharpBWidths(q, options);
+      if (!plan.sharp_b.empty()) {
+        plan.strategy = PlanStrategy::kSharpB;
+        plan.cost_model_steered = true;
+      }
     }
-  } else if (options.enable_hybrid && options.max_width >= 2) {
-    plan.strategy = PlanStrategy::kSharpB;
+  } else if (options.enable_hybrid) {
+    // No #b candidate at any width makes backtracking explicit.
+    plan.sharp_b = CollectSharpBWidths(q, options);
+    plan.strategy = plan.sharp_b.empty() ? PlanStrategy::kBacktracking
+                                         : PlanStrategy::kSharpB;
   } else {
     plan.strategy = PlanStrategy::kBacktracking;
   }

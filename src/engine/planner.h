@@ -16,9 +16,10 @@ namespace sharpcq {
 //   2. kAcyclicPs13     if enabled and HQ is acyclic with every free
 //                       variable occurring in some atom (Theorem 6.2 on the
 //                       query's own join tree);
-//   3. kSharpB          if enabled and max_width >= 2 (Theorems 6.6/6.7;
-//                       the database-dependent decomposition search runs at
-//                       execution time);
+//   3. kSharpB          if enabled and some k in 2..max_width has a #b
+//                       candidate (Theorems 6.6/6.7): the plan stores the
+//                       search's query-only half, and each execution runs
+//                       only the data half that minimizes the degree b;
 //   4. kBacktracking    otherwise.
 //
 // The returned plan is valid for every database and is what the engine's

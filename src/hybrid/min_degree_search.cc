@@ -66,17 +66,14 @@ std::size_t AchievedBound(const BagTree& tree, DegreeOracle* oracle) {
 }  // namespace
 
 std::optional<MinDegreeResult> FindMinDegreeTreeProjection(
-    const std::vector<IdSet>& cover, const ViewSet& views,
+    const std::vector<IdSet>& cover, const ViewSet& views, BagTree existence,
     const ConjunctiveQuery& guard_query, const Database& db,
     const IdSet& free, const IdSet& project_to, std::size_t max_b) {
   DegreeOracle oracle(views, guard_query, db, free, project_to);
 
-  // Unfiltered existence first; its achieved bound seeds the search.
-  auto unfiltered = FindTreeProjection(cover, views);
-  if (!unfiltered.has_value()) return std::nullopt;
-
+  // The unfiltered existence tree's achieved bound seeds the search.
   MinDegreeResult best;
-  best.tree = std::move(unfiltered->tree);
+  best.tree = std::move(existence);
   best.bound = AchievedBound(best.tree, &oracle);
 
   // Parametric search: the smallest b such that a tree projection exists

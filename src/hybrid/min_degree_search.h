@@ -32,10 +32,13 @@ struct MinDegreeResult {
 // a parametric scan (existence searches with a degree cap), avoiding the
 // astronomically large weights.
 //
-// Returns nullopt if no tree projection exists at all, or none achieves a
-// bound <= max_b (pass SIZE_MAX for "no cap").
+// `existence` is a tree projection of `cover` w.r.t. `views` (what
+// FindTreeProjection returns unfiltered); its achieved bound seeds the
+// scan. The existence search depends on the query alone, so callers that
+// search many databases with one query find it once. Returns nullopt if no
+// tree projection achieves a bound <= max_b (pass SIZE_MAX for "no cap").
 std::optional<MinDegreeResult> FindMinDegreeTreeProjection(
-    const std::vector<IdSet>& cover, const ViewSet& views,
+    const std::vector<IdSet>& cover, const ViewSet& views, BagTree existence,
     const ConjunctiveQuery& guard_query, const Database& db,
     const IdSet& free, const IdSet& project_to, std::size_t max_b);
 

@@ -8,10 +8,12 @@ std::optional<DOptimalResult> FindDOptimalDecomposition(
     const ConjunctiveQuery& q, const Database& db, int k) {
   ViewSet views = BuildVk(q, k);
   std::vector<IdSet> cover = q.BuildHypergraph().edges();
-  IdSet all_vars = q.AllVars();
+  std::optional<TreeProjectionResult> existence =
+      FindTreeProjection(cover, views);
+  if (!existence.has_value()) return std::nullopt;
   std::optional<MinDegreeResult> found = FindMinDegreeTreeProjection(
-      cover, views, q, db, q.free_vars(), /*project_to=*/all_vars,
-      /*max_b=*/static_cast<std::size_t>(-1));
+      cover, views, std::move(existence->tree), q, db, q.free_vars(),
+      /*project_to=*/q.AllVars(), /*max_b=*/static_cast<std::size_t>(-1));
   if (!found.has_value()) return std::nullopt;
   DOptimalResult result;
   result.hypertree = HypertreeFromBagTree(found->tree, views);

@@ -40,64 +40,125 @@ void ForEachSubsetBySize(const IdSet& candidates, std::size_t max_subsets,
   }
 }
 
-}  // namespace
-
-std::optional<SharpBDecomposition> FindSharpBDecomposition(
-    const ConjunctiveQuery& q, const Database& db, int k,
-    const SharpBOptions& options) {
-  ViewSet views = BuildVk(q, k);
-  IdSet existential = q.ExistentialVars();
-
-  TraceSpan span("sharp_b_search");
-  span.NoteCount("k", static_cast<std::uint64_t>(k));
-  span.NoteCount("existential", existential.size());
-
-  std::optional<SharpBDecomposition> best;
-
+// The one enumeration of the query-only half (see CollectSharpBCandidates):
+// calls `visit` on each pseudo-free set that has a feasible core, in order,
+// until it returns true.
+void ForEachSharpBCandidate(
+    const ConjunctiveQuery& q, const ViewSet& views,
+    const SharpBOptions& options,
+    const std::function<bool(const SharpBCandidate&)>& visit) {
   auto try_s_bar = [&](const IdSet& extra) -> bool {
-    if (best.has_value() && best->bound <= 1) return true;  // can't improve
-    IdSet s_bar = Union(q.free_vars(), extra);
-    ConjunctiveQuery q_s = q.WithFree(s_bar);
-    std::size_t cap = best.has_value() ? best->bound - 1 : options.max_b;
-
-    auto try_core = [&](ConjunctiveQuery core) -> bool {
-      std::vector<IdSet> cover = SharpCoverEdges(core, s_bar);
-      std::optional<MinDegreeResult> found = FindMinDegreeTreeProjection(
-          cover, views, q, db, q.free_vars(), s_bar, cap);
-      if (!found.has_value()) return false;
-      SharpBDecomposition d;
-      d.s_bar = s_bar;
-      d.decomposition.core = std::move(core);
-      d.decomposition.tree = std::move(found->tree);
-      d.decomposition.views = views;
-      d.decomposition.width = d.decomposition.tree.Width(views);
-      d.bound = std::max<std::size_t>(found->bound, 1);
-      if (!best.has_value() || d.bound < best->bound) best = std::move(d);
-      return true;
+    SharpBCandidate candidate;
+    candidate.s_bar = Union(q.free_vars(), extra);
+    ConjunctiveQuery q_s = q.WithFree(candidate.s_bar);
+    auto keep_if_feasible = [&](ConjunctiveQuery core) {
+      std::vector<IdSet> cover = SharpCoverEdges(core, candidate.s_bar);
+      std::optional<TreeProjectionResult> found =
+          FindTreeProjection(cover, views);
+      if (!found.has_value()) return;
+      candidate.cores.push_back(
+          {std::move(core), std::move(cover), std::move(found->tree)});
     };
-
-    // Greedy core first; enumerate alternatives only when it fails against
-    // the views (Example 3.5's situation).
-    if (!try_core(ComputeColoredCore(q_s)) && options.max_cores > 1) {
-      bool skipped_first = false;
-      for (ConjunctiveQuery& core :
-           EnumerateColoredCores(q_s, options.max_cores)) {
-        if (!skipped_first) {
-          skipped_first = true;  // the greedy core, already tried
-          continue;
-        }
-        if (try_core(std::move(core))) break;
+    // Greedy core first, then the alternatives: substructure cores are not
+    // interchangeable w.r.t. a view set (Example 3.5's situation).
+    keep_if_feasible(ComputeColoredCore(q_s));
+    if (options.max_cores > 1) {
+      std::vector<ConjunctiveQuery> cores =
+          EnumerateColoredCores(q_s, options.max_cores);
+      // The first enumerated core is the greedy one, already tried.
+      for (std::size_t i = 1; i < cores.size(); ++i) {
+        keep_if_feasible(std::move(cores[i]));
       }
     }
-    return best.has_value() && best->bound <= 1;
+    return !candidate.cores.empty() && visit(candidate);
   };
+  ForEachSubsetBySize(q.ExistentialVars(), options.max_subsets, try_s_bar);
+}
 
-  ForEachSubsetBySize(existential, options.max_subsets, try_s_bar);
+// The data step on one candidate: its cores are tried in order and the
+// first whose minimum-degree tree projection achieves a bound under the cap
+// (max_b, or one below the best so far) replaces *best. Returns true once
+// b <= 1, which nothing can improve on.
+bool ImproveWith(const ConjunctiveQuery& q, const Database& db,
+                 const ViewSet& views, const SharpBCandidate& candidate,
+                 std::size_t max_b, std::optional<SharpBDecomposition>* best) {
+  std::size_t cap = best->has_value() ? (*best)->bound - 1 : max_b;
+  for (const SharpBCore& c : candidate.cores) {
+    std::optional<MinDegreeResult> found = FindMinDegreeTreeProjection(
+        c.cover, views, c.existence, q, db, q.free_vars(), candidate.s_bar,
+        cap);
+    if (!found.has_value()) continue;
+    SharpBDecomposition d;
+    d.s_bar = candidate.s_bar;
+    d.decomposition.core = c.core;
+    d.decomposition.tree = std::move(found->tree);
+    d.decomposition.views = views;
+    d.decomposition.width = d.decomposition.tree.Width(views);
+    d.bound = std::max<std::size_t>(found->bound, 1);
+    if (!best->has_value() || d.bound < (*best)->bound) *best = std::move(d);
+    break;
+  }
+  return best->has_value() && (*best)->bound <= 1;
+}
+
+void NoteOutcome(TraceSpan& span, std::size_t visited,
+                 const std::optional<SharpBDecomposition>& best) {
+  span.NoteCount("visited", visited);
   if (best.has_value()) {
     span.NoteCount("b", best->bound);
   } else {
     span.Note("found", "no");
   }
+}
+
+}  // namespace
+
+SharpBCandidates CollectSharpBCandidates(const ConjunctiveQuery& q, int k,
+                                         const SharpBOptions& options) {
+  TraceSpan span("sharp_b_candidates");
+  span.NoteCount("k", static_cast<std::uint64_t>(k));
+  SharpBCandidates width;
+  width.k = k;
+  width.views = BuildVk(q, k);
+  ForEachSharpBCandidate(q, width.views, options,
+                         [&](const SharpBCandidate& candidate) {
+                           width.candidates.push_back(candidate);
+                           return false;
+                         });
+  span.NoteCount("candidates", width.candidates.size());
+  return width;
+}
+
+std::optional<SharpBDecomposition> FindSharpBDecomposition(
+    const ConjunctiveQuery& q, const Database& db,
+    const SharpBCandidates& width, std::size_t max_b) {
+  TraceSpan span("sharp_b_search");
+  span.NoteCount("k", static_cast<std::uint64_t>(width.k));
+  std::optional<SharpBDecomposition> best;
+  std::size_t visited = 0;
+  for (const SharpBCandidate& candidate : width.candidates) {
+    ++visited;
+    if (ImproveWith(q, db, width.views, candidate, max_b, &best)) break;
+  }
+  NoteOutcome(span, visited, best);
+  return best;
+}
+
+std::optional<SharpBDecomposition> FindSharpBDecomposition(
+    const ConjunctiveQuery& q, const Database& db, int k,
+    const SharpBOptions& options) {
+  TraceSpan span("sharp_b_search");
+  span.NoteCount("k", static_cast<std::uint64_t>(k));
+  const ViewSet views = BuildVk(q, k);
+  std::optional<SharpBDecomposition> best;
+  std::size_t visited = 0;
+  ForEachSharpBCandidate(q, views, options,
+                         [&](const SharpBCandidate& candidate) {
+                           ++visited;
+                           return ImproveWith(q, db, views, candidate,
+                                              options.max_b, &best);
+                         });
+  NoteOutcome(span, visited, best);
   return best;
 }
 

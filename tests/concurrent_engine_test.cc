@@ -129,6 +129,31 @@ TEST(ConcurrentEngineTest, EightThreadsOneEngineOverlappingShapes) {
   EXPECT_EQ(shard_misses, stats.misses);
 }
 
+TEST(ConcurrentEngineTest, SharpBPlanIsSharedAcrossThreads) {
+  // A #b plan carries the search's query-only half; concurrent counts run
+  // the data half over the same stored candidates, without locks.
+  ConjunctiveQuery q = MakeQbarh2(3);
+  Database db = MakeQbarh2Database(3, 4);
+  CountingEngine engine;
+  CountingEngine::Planned planned = engine.Plan(q);
+  ASSERT_EQ(planned.plan->strategy, PlanStrategy::kSharpB);
+  const CountInt expected = CountByBacktracking(q, db);
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 8; ++i) {
+        if (ExecutePlan(*planned.plan, db).count != expected) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(ConcurrentEngineTest, CountBatchMatchesSequentialAndSharesPlans) {
   EngineOptions options;
   options.batch_threads = 8;

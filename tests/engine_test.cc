@@ -7,6 +7,7 @@
 #include "hypergraph/acyclic.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
+#include "util/trace.h"
 
 namespace sharpcq {
 namespace {
@@ -45,6 +46,46 @@ TEST(PlannerTest, HybridFamilyGetsSharpBPlan) {
   EXPECT_EQ(plan.strategy, PlanStrategy::kSharpB);
 }
 
+TEST(PlannerTest, SharpBPlanStoresTheFirstWidthWithCandidates) {
+  // Qbar^4_2 has #-htw > 3; #b succeeds at width 2, so only k = 2 is
+  // collected and the cost sketch is m^(k+1), not m^(max_width+1).
+  CountingPlan plan = MakePlan(MakeQbarh2(4));
+  ASSERT_EQ(plan.strategy, PlanStrategy::kSharpB);
+  ASSERT_EQ(plan.sharp_b.size(), 1u);
+  EXPECT_EQ(plan.sharp_b.front().k, 2);
+  EXPECT_FALSE(plan.sharp_b.front().candidates.empty());
+  EXPECT_EQ(plan.cost.db_exponent, 3.0);
+  EXPECT_EQ(plan.cost.note.find("search"), std::string::npos)
+      << plan.cost.note;
+}
+
+TEST(PlannerTest, NoSharpBCandidatePlansExplicitBacktracking) {
+  // K5 with every variable free: generalized hypertree width 3, so no
+  // width-2 #-hypertree or #b decomposition exists, and the hybrid gate
+  // yields an explicit backtracking plan instead of a #b plan that falls
+  // back silently.
+  ConjunctiveQuery q = Parse(
+      "Q(A,B,C,D,E) <- e(A,B), e(A,C), e(A,D), e(A,E), e(B,C), e(B,D), "
+      "e(B,E), e(C,D), e(C,E), e(D,E)");
+  PlannerOptions options;
+  options.max_width = 2;
+  CountingPlan plan = MakePlan(q, options);
+  EXPECT_FALSE(plan.analysis.is_acyclic);
+  EXPECT_EQ(plan.strategy, PlanStrategy::kBacktracking);
+  EXPECT_TRUE(plan.sharp_b.empty());
+
+  Database db;
+  for (int a = 0; a < 5; ++a) {
+    for (int b = 0; b < 5; ++b) {
+      if (a != b && (a * 7 + b * 3) % 4 != 0) db.AddTuple("e", {a, b});
+    }
+  }
+  CountingEngine engine;
+  CountResult result = engine.Count(q, db, options);
+  EXPECT_EQ(result.method, "backtracking");
+  EXPECT_EQ(result.count, CountByBacktracking(q, db));
+}
+
 TEST(PlannerTest, AcyclicUnboundedWidthFamilyGetsPs13Plan) {
   // Example C.1: Q^h_2 is acyclic but needs #-htw ~ h; with a small width
   // budget the acyclic PS13 strategy takes over (instead of backtracking).
@@ -76,6 +117,69 @@ TEST(PlannerTest, PlanCarriesProfileAndCost) {
 }
 
 // --- plan cache --------------------------------------------------------------
+
+const TraceNode* FindChild(const TraceNode& node, std::string_view name) {
+  for (const auto& child : node.children) {
+    if (child->name == name) return child.get();
+  }
+  return nullptr;
+}
+
+// Every span named `name` in the subtree below `node`.
+void CollectSpans(const TraceNode& node, std::string_view name,
+                  std::vector<const TraceNode*>* out) {
+  for (const auto& child : node.children) {
+    if (child->name == name) out->push_back(child.get());
+    CollectSpans(*child, name, out);
+  }
+}
+
+std::string NoteOf(const TraceNode& node, std::string_view key) {
+  for (const auto& [k, v] : node.notes) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+TEST(PlanCacheTest, SharpBCandidatesAreEnumeratedOnlyOnThePlanMiss) {
+  CountingEngine engine;
+  ConjunctiveQuery q = MakeQbarh2(4);
+  Database db = MakeQbarh2Database(4, 6);
+
+  Trace miss;
+  CountResult cold = engine.Count(q, db, PlannerOptions{}, nullptr, &miss);
+  miss.Finish();
+  const TraceNode* miss_plan = FindChild(miss.root(), "plan");
+  ASSERT_NE(miss_plan, nullptr);
+  EXPECT_EQ(NoteOf(*miss_plan, "cache"), "miss");
+  std::vector<const TraceNode*> enumerations;
+  CollectSpans(*miss_plan, "sharp_b_candidates", &enumerations);
+  ASSERT_EQ(enumerations.size(), 1u);
+  EXPECT_EQ(NoteOf(*enumerations[0], "k"), "2");
+
+  Trace hit;
+  CountResult warm = engine.Count(q, db, PlannerOptions{}, nullptr, &hit);
+  hit.Finish();
+  EXPECT_EQ(warm.count, cold.count);
+  EXPECT_EQ(warm.method, cold.method);
+  EXPECT_EQ(warm.count, CountInt{1} << 4);
+  const TraceNode* hit_plan = FindChild(hit.root(), "plan");
+  ASSERT_NE(hit_plan, nullptr);
+  EXPECT_EQ(NoteOf(*hit_plan, "cache"), "hit");
+  enumerations.clear();
+  CollectSpans(hit.root(), "sharp_b_candidates", &enumerations);
+  EXPECT_TRUE(enumerations.empty());
+
+  // The hit runs only the data half: one search over the stored candidates
+  // that stops at the first one (b = 1).
+  const TraceNode* execute = FindChild(hit.root(), "execute");
+  ASSERT_NE(execute, nullptr);
+  std::vector<const TraceNode*> searches;
+  CollectSpans(*execute, "sharp_b_search", &searches);
+  ASSERT_EQ(searches.size(), 1u);
+  EXPECT_EQ(NoteOf(*searches[0], "visited"), "1");
+  EXPECT_EQ(NoteOf(*searches[0], "b"), "1");
+}
 
 TEST(PlanCacheTest, CanonicalizedVariantsHitTheCache) {
   CountingEngine engine;
@@ -275,6 +379,36 @@ TEST(ExecutorTest, EngineCountsHybridFamilyViaSharpB) {
       engine.Count(MakeQbarh2(3), MakeQbarh2Database(3, 4), options);
   EXPECT_EQ(result.count, CountInt{1} << 3);
   EXPECT_EQ(result.method.rfind("#b-hypertree", 0), 0u) << result.method;
+}
+
+TEST(ExecutorTest, FiniteHybridMaxBFallsThroughToTheNextWidth) {
+  // Qbar^3_2 on random data: the best width-2 #b decomposition has b = 4,
+  // the best width-3 one b = 2. A cap of 2 keeps both widths in the plan
+  // and the executor answers from width 3.
+  ConjunctiveQuery q = MakeQbarh2(3);
+  RandomDatabaseParams dp;
+  dp.domain = 2;
+  dp.tuples_per_relation = 20;
+  dp.seed = 1;
+  Database db = MakeRandomDatabase(q, dp);
+  PlannerOptions options;
+  options.hybrid_max_b = 2;
+  CountingPlan plan = MakePlan(q, options);
+  ASSERT_EQ(plan.strategy, PlanStrategy::kSharpB);
+  ASSERT_EQ(plan.sharp_b.size(), 2u);
+  EXPECT_EQ(plan.sharp_b[0].k, 2);
+  EXPECT_EQ(plan.sharp_b[1].k, 3);
+  CountResult result = ExecutePlan(plan, db);
+  EXPECT_EQ(result.method, "#b-hypertree(k=3,b=2)");
+  EXPECT_EQ(result.count, CountByBacktracking(q, db));
+
+  // A cap no candidate meets: the executor's backtracking fallback.
+  options.hybrid_max_b = 1;
+  plan = MakePlan(q, options);
+  ASSERT_EQ(plan.strategy, PlanStrategy::kSharpB);
+  result = ExecutePlan(plan, db);
+  EXPECT_EQ(result.method, "backtracking");
+  EXPECT_EQ(result.count, CountByBacktracking(q, db));
 }
 
 TEST(ExecutorTest, ProvenanceFieldsPopulated) {

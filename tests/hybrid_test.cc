@@ -221,6 +221,128 @@ TEST(SharpBTest, AgreesWithBruteForceOnRandomInstances) {
   EXPECT_GT(counted, 8);
 }
 
+// --- the #b search split into its query-only and data halves -----------------
+
+// Runs the #b search at widths 2..max_width both ways: the standalone
+// search, and the data step over candidates collected up front (what a
+// plan stores). Both must pick the same S-bar, b, tree and count at the
+// first width that succeeds, which is returned (0 when none does).
+int ExpectStoredCandidatesMatchStandalone(const ConjunctiveQuery& q,
+                                          const Database& db,
+                                          const SharpBOptions& options,
+                                          int max_width,
+                                          const std::string& label) {
+  for (int k = 2; k <= max_width; ++k) {
+    SCOPED_TRACE(label + " k=" + std::to_string(k));
+    std::optional<SharpBDecomposition> standalone =
+        FindSharpBDecomposition(q, db, k, options);
+    SharpBCandidates candidates = CollectSharpBCandidates(q, k, options);
+    EXPECT_EQ(candidates.k, k);
+    std::optional<SharpBDecomposition> stored =
+        FindSharpBDecomposition(q, db, candidates, options.max_b);
+    EXPECT_EQ(stored.has_value(), standalone.has_value());
+    if (!stored.has_value() || !standalone.has_value()) continue;
+    EXPECT_EQ(stored->s_bar, standalone->s_bar);
+    EXPECT_EQ(stored->bound, standalone->bound);
+    EXPECT_EQ(stored->decomposition.width, standalone->decomposition.width);
+    EXPECT_EQ(stored->decomposition.tree.bags,
+              standalone->decomposition.tree.bags);
+    EXPECT_EQ(CountViaSharpB(q, db, *stored).count,
+              CountViaSharpB(q, db, *standalone).count);
+    return k;
+  }
+  return 0;
+}
+
+TEST(SharpBSplitTest, StoredCandidatesMatchStandaloneOnQbar) {
+  for (int h = 2; h <= 5; ++h) {
+    for (int z : {2, 6, 40}) {
+      ConjunctiveQuery q = MakeQbarh2(h);
+      Database db = MakeQbarh2Database(h, z);
+      EXPECT_EQ(ExpectStoredCandidatesMatchStandalone(
+                    q, db, {}, 2,
+                    "Qbar h=" + std::to_string(h) + " z=" + std::to_string(z)),
+                2);
+    }
+  }
+}
+
+TEST(SharpBSplitTest, StoredCandidatesMatchStandaloneOnQh2) {
+  for (int h = 4; h <= 8; ++h) {
+    EXPECT_EQ(ExpectStoredCandidatesMatchStandalone(
+                  MakeQh2(h), MakeQh2Database(h), {}, 2,
+                  "Qh2 h=" + std::to_string(h)),
+              2);
+  }
+}
+
+TEST(SharpBSplitTest, StoredCandidatesMatchStandaloneOnRandomInstances) {
+  // The instances of SharpBTest.AgreesWithBruteForceOnRandomInstances.
+  int decomposed = 0;
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+    RandomQueryParams qp;
+    qp.num_vars = 5;
+    qp.num_atoms = 4;
+    qp.max_arity = 3;
+    qp.num_free = 2;
+    qp.seed = seed;
+    ConjunctiveQuery q = MakeRandomQuery(qp);
+    RandomDatabaseParams dp;
+    dp.domain = 3;
+    dp.tuples_per_relation = 8;
+    dp.seed = seed * 104729;
+    Database db = MakeRandomDatabase(q, dp);
+    if (ExpectStoredCandidatesMatchStandalone(
+            q, db, {}, 2, "seed " + std::to_string(seed)) != 0) {
+      ++decomposed;
+    }
+  }
+  EXPECT_GT(decomposed, 8);
+}
+
+TEST(SharpBSplitTest, FiniteBoundCapForcesWidthThree) {
+  // Qbar^3_2 on random data: the best width-2 decomposition has b = 4 and
+  // the best width-3 one b = 2, so a cap of 2 rejects every width-2
+  // candidate in both searches.
+  ConjunctiveQuery q = MakeQbarh2(3);
+  RandomDatabaseParams dp;
+  dp.domain = 2;
+  dp.tuples_per_relation = 20;
+  dp.seed = 1;
+  Database db = MakeRandomDatabase(q, dp);
+  SharpBOptions options;
+  ASSERT_EQ(ExpectStoredCandidatesMatchStandalone(q, db, options, 3, "uncapped"),
+            2);
+  options.max_b = 2;
+  EXPECT_EQ(ExpectStoredCandidatesMatchStandalone(q, db, options, 3, "capped"),
+            3);
+  std::optional<SharpBDecomposition> d = FindSharpBDecomposition(q, db, 3, options);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->bound, 2u);
+  EXPECT_EQ(CountViaSharpB(q, db, *d).count, CountByBacktracking(q, db));
+}
+
+TEST(SharpBSplitTest, CandidatesDependOnTheQueryAlone) {
+  // Qbar^4_2: sets are enumerated by increasing size. The first one with a
+  // width-2 core extends free(Q) by part of the Y block and keeps Z
+  // structural (Example 6.5), whatever the data. Every stored existence
+  // tree is a tree projection of its core's cover.
+  ConjunctiveQuery q = MakeQbarh2(4);
+  SharpBCandidates candidates = CollectSharpBCandidates(q, 2, {});
+  ASSERT_FALSE(candidates.candidates.empty());
+  const SharpBCandidate& first = candidates.candidates.front();
+  EXPECT_TRUE(q.free_vars().IsSubsetOf(first.s_bar));
+  EXPECT_FALSE(first.s_bar.Contains(q.VarByName("Z")));
+  for (const SharpBCandidate& candidate : candidates.candidates) {
+    EXPECT_GE(candidate.s_bar.size(), first.s_bar.size());
+    ASSERT_FALSE(candidate.cores.empty());
+    for (const SharpBCore& core : candidate.cores) {
+      EXPECT_TRUE(
+          IsTreeProjection(core.existence, core.cover, candidates.views));
+    }
+  }
+}
+
 TEST(SharpBTest, BoundCapRejects) {
   // Qbar with structural-only width 2 is impossible (frontier clique), and
   // with a bound cap of 0 nothing qualifies... use max_b = 0 is meaningless
