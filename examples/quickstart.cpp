@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "core/analyze.h"
 #include "count/enumeration.h"
 #include "data/database.h"
 #include "engine/engine.h"
@@ -58,9 +59,10 @@ int main() {
   sharpcq::CountingEngine engine;
 
   // Planning is query-only; show what the engine decided before touching
-  // the database.
+  // the database, next to the query's full structural profile.
   sharpcq::CountingEngine::Planned planned = engine.Plan(*q);
   std::printf("plan:\n%s\n", planned.plan->DebugString().c_str());
+  std::printf("profile:\n%s\n", sharpcq::AnalyzeQuery(*q).ToString().c_str());
 
   sharpcq::CountResult result = engine.Count(*q, db);
   std::printf("answers: %s  (method: %s, width: %d, plan %s, %.3fms plan + "

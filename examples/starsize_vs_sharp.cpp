@@ -35,10 +35,10 @@ int main() {
     sharpcq::Database db =
         sharpcq::MakeQn1RandomDatabase(/*d=*/12, /*edges=*/36, /*seed=*/7u * n);
 
-    // The profile (star size, widths) comes with the plan for free.
+    // The plan's width budget is the #-hypertree width the planner found.
+    int qss = sharpcq::QuantifiedStarSize(q);
     sharpcq::CountingEngine::Planned planned = engine.Plan(q);
-    int qss = planned.plan->analysis.quantified_star_size;
-    std::optional<int> width = planned.plan->analysis.sharp_hypertree_width;
+    int width = planned.plan->width_budget;
 
     auto t0 = std::chrono::steady_clock::now();
     sharpcq::CountResult sharp = engine.Count(q, db);
@@ -53,8 +53,7 @@ int main() {
       std::fprintf(stderr, "MISMATCH at n=%d\n", n);
       return 1;
     }
-    std::printf("%-4d %-6d %-8d %-10s %-14.2f %-18.2f\n", n, qss,
-                width.value_or(-1),
+    std::printf("%-4d %-6d %-8d %-10s %-14.2f %-18.2f\n", n, qss, width,
                 sharpcq::CountToString(sharp.count).c_str(), sharp_ms,
                 frontier_ms);
   }

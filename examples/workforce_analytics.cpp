@@ -52,7 +52,7 @@ int main() {
   sharpcq::CountingEngine engine;
   sharpcq::CountingEngine::Planned planned = engine.Plan(q0);
   std::printf("#-hypertree width: %d  (paper: 2)\n",
-              planned.plan->analysis.sharp_hypertree_width.value_or(-1));
+              planned.plan->width_budget);
   if (planned.plan->sharp.has_value()) {
     const sharpcq::SharpDecomposition& d = *planned.plan->sharp;
     std::printf("width-2 #-hypertree decomposition (cf. Figure 3(c)):\n%s",

@@ -10,12 +10,6 @@
 namespace sharpcq {
 
 QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max) {
-  return AnalyzeQuery(q, k_max, /*max_cores=*/8, nullptr);
-}
-
-QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max,
-                           std::size_t max_cores,
-                           AnalysisArtifacts* artifacts) {
   QueryAnalysis a;
   a.num_atoms = q.NumAtoms();
   a.num_vars = q.AllVars().size();
@@ -24,15 +18,7 @@ QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max,
   a.is_acyclic = IsAcyclic(q.BuildHypergraph());
   a.quantified_star_size = QuantifiedStarSize(q);
   a.hypertree_width = HypertreeWidth(q, k_max);
-
-  // The single #-hypertree width search: the smallest k admitting a width-k
-  // decomposition, with the witness kept for reuse instead of being
-  // recomputed by every downstream counting call.
-  std::optional<SharpDecomposition> sharp;
-  for (int k = 1; k <= k_max && !sharp.has_value(); ++k) {
-    sharp = FindSharpHypertreeDecomposition(q, k, max_cores);
-    if (sharp.has_value()) a.sharp_hypertree_width = k;
-  }
+  a.sharp_hypertree_width = SharpHypertreeWidth(q, k_max);
 
   ConjunctiveQuery core = ComputeColoredCore(q);
   a.core_atoms = core.NumAtoms();
@@ -42,10 +28,6 @@ QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max,
   a.frontier_edges = fh.num_edges();
   for (const IdSet& e : fh.edges()) {
     a.max_frontier_size = std::max(a.max_frontier_size, e.size());
-  }
-  if (artifacts != nullptr) {
-    artifacts->colored_core = std::move(core);
-    artifacts->sharp = std::move(sharp);
   }
   return a;
 }

@@ -4,13 +4,12 @@
 #include <optional>
 #include <string>
 
-#include "core/sharp_decomposition.h"
 #include "query/conjunctive_query.h"
 
 namespace sharpcq {
 
 // A one-call structural profile of a query: every parameter the paper's
-// tractability landscape speaks about, for diagnostics and planning.
+// tractability landscape speaks about, for diagnostics.
 struct QueryAnalysis {
   std::size_t num_atoms = 0;
   std::size_t num_vars = 0;
@@ -29,26 +28,11 @@ struct QueryAnalysis {
   std::string ToString() const;
 };
 
-// Reusable by-products of the analysis: the expensive query-only artifacts
-// the profile was computed from, handed to callers (the engine planner) so
-// width searches and core computation run exactly once per query shape.
-struct AnalysisArtifacts {
-  // The paper's Q': a core of color(Q) with the colors stripped.
-  ConjunctiveQuery colored_core;
-  // The width-minimal #-hypertree decomposition found within the budget
-  // (the k achieving sharp_hypertree_width), if any.
-  std::optional<SharpDecomposition> sharp;
-};
-
 // Computes the profile, searching widths up to `k_max`. Cost is FPT in the
 // query (core computation + width searches); the database is not involved.
+// A diagnostic: the planner computes only the acyclicity and #-hypertree
+// width it selects a strategy by, and never calls this.
 QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max = 4);
-
-// Same, with `max_cores` substructure cores tried per width and the
-// artifacts exported (pass nullptr to discard them).
-QueryAnalysis AnalyzeQuery(const ConjunctiveQuery& q, int k_max,
-                           std::size_t max_cores,
-                           AnalysisArtifacts* artifacts);
 
 }  // namespace sharpcq
 

@@ -74,7 +74,4 @@ std::optional<CountResult> CountBySharpHypertree(const ConjunctiveQuery& q,
   return result;
 }
 
-// CountAnswers is defined in engine/legacy_facades.cc: it delegates to the
-// engine layer, which sits above this one.
-
 }  // namespace sharpcq

@@ -99,22 +99,6 @@ std::optional<CountResult> CountBySharpHypertree(const ConjunctiveQuery& q,
                                                  const Database& db, int k,
                                                  std::size_t max_cores = 8);
 
-struct CountOptions {
-  int max_width = 3;          // largest #-hypertree width to attempt
-  std::size_t max_cores = 8;  // substructure cores to try per width
-};
-
-// DEPRECATED legacy facade: tries #-hypertree decompositions of width 1..
-// max_width and falls back to the backtracking baseline when the query has
-// no bounded-width decomposition. Always returns the exact count.
-//
-// This is now a thin wrapper over the unified plan/execute engine
-// (engine/engine.h), sharing its process-wide plan cache; new code should
-// construct a CountingEngine directly, which also unlocks the acyclic-PS13
-// and hybrid #b strategies this facade keeps disabled for compatibility.
-CountResult CountAnswers(const ConjunctiveQuery& q, const Database& db,
-                         const CountOptions& options = {});
-
 }  // namespace sharpcq
 
 #endif  // SHARPCQ_CORE_SHARP_COUNTING_H_

@@ -48,6 +48,22 @@ std::optional<SharpDecomposition> FindSharpDecomposition(
 std::optional<SharpDecomposition> FindSharpHypertreeDecomposition(
     const ConjunctiveQuery& q, int k, std::size_t max_cores = 8);
 
+// The smallest width budget k admitting a #-hypertree decomposition, with
+// that k's decomposition.
+struct MinWidthSharpDecomposition {
+  int k = 0;
+  SharpDecomposition decomposition;
+};
+
+// The #-hypertree width search: tries k = 1..k_max and returns the first k
+// with a decomposition, exactly the one FindSharpHypertreeDecomposition(q,
+// k, max_cores) returns. The colored cores depend on q alone, so the greedy
+// core is computed once and the alternatives are enumerated at most once,
+// after the greedy core first fails. Checks CheckExecInterrupt() once per
+// k. nullopt if no k <= k_max admits a decomposition.
+std::optional<MinWidthSharpDecomposition> FindMinWidthSharpDecomposition(
+    const ConjunctiveQuery& q, int k_max, std::size_t max_cores = 8);
+
 // The #-hypertree width of q, searched up to k_max (the smallest k
 // admitting a width-k #-hypertree decomposition); nullopt if none exists
 // within the budget. Width is measured in the normal-form search of

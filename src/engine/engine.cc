@@ -144,23 +144,13 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
     profile = BuildDataProfile(db, names);
     profile_ptr = &profile;
   }
-  Planned planned;
-  {
-    TraceSpan span("plan");
-    planned = Plan(q, options, profile_ptr);
-    span.Note("strategy", PlanStrategyName(planned.plan->strategy));
-    span.Note("cache", planned.cache_hit ? "hit" : "miss");
-    span.NoteCount("cache_shard", planned.cache_shard);
-    if (planned.plan->cost_model_steered) {
-      span.Note("cost_model", "steered");
-    }
-  }
-  // Install this engine's execution policy for the duration of the
-  // execution: kernel probe loops above the row threshold morselize onto
-  // the engine pool (created lazily on the first such probe), the cancel
-  // token reaches the morsel claim loops and checkpoint sites, and filter
-  // tallies land in this execution's own stats sink (so concurrent counts
-  // never pollute each other's provenance).
+  // Install this engine's execution policy for the rest of the call:
+  // kernel probe loops above the row threshold morselize onto the engine
+  // pool (created lazily on the first such probe), the cancel token reaches
+  // the width searches, the morsel claim loops and the checkpoint sites, and
+  // filter tallies land in this count's own stats sink (so concurrent counts
+  // never pollute each other's provenance). Planning is query-only and runs
+  // no kernel operator, so of the policy it sees only the token.
   ExecPolicy policy;
   if (options_.enable_morsel_parallelism) {
     policy.pool = [this] { return &Pool(); };
@@ -188,30 +178,51 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
   // them (results never change; only the consult is gated).
   std::optional<MissFilterDisableScope> no_filters;
   if (!options_.enable_probe_filters) no_filters.emplace();
+  Planned planned;
   CountResult result;
-  {
-    TraceSpan span("execute");
-    const MonotonicClock::time_point execute_start = MonotonicNow();
-    try {
-      CheckExecInterrupt();  // expired before execution: fail without a probe
-      result = ExecutePlan(*planned.plan, db);
-    } catch (const ExecInterrupted& interrupted) {
-      result = CountResult{};
-      result.status = interrupted.reason == CancelToken::StopReason::kDeadline
-                          ? CountStatus::kDeadlineExceeded
-                          : CountStatus::kCancelled;
-      result.method = "interrupted";
-    } catch (const ExecResourceExhausted& exhausted) {
-      result = CountResult{};
-      result.status = CountStatus::kResourceExhausted;
-      result.method = "interrupted";
-      result.mem_refused_bytes = exhausted.requested_bytes;
+  // One try covers planning and execution: a plan miss can take seconds
+  // (the width and #b searches), and the deadline and cancel token bound
+  // it too. An interrupted plan is not cached.
+  const MonotonicClock::time_point plan_start = MonotonicNow();
+  std::optional<TraceSpan> execute_span;
+  MonotonicClock::time_point execute_start{};
+  try {
+    {
+      TraceSpan span("plan");
+      planned = Plan(q, options, profile_ptr);
+      span.Note("strategy", PlanStrategyName(planned.plan->strategy));
+      span.Note("cache", planned.cache_hit ? "hit" : "miss");
+      span.NoteCount("cache_shard", planned.cache_shard);
+      if (planned.plan->cost_model_steered) {
+        span.Note("cost_model", "steered");
+      }
     }
+    execute_span.emplace("execute");
+    execute_start = MonotonicNow();
+    CheckExecInterrupt();  // expired before execution: fail without a probe
+    result = ExecutePlan(*planned.plan, db);
+  } catch (const ExecInterrupted& interrupted) {
+    result = CountResult{};
+    result.status = interrupted.reason == CancelToken::StopReason::kDeadline
+                        ? CountStatus::kDeadlineExceeded
+                        : CountStatus::kCancelled;
+    result.method = "interrupted";
+  } catch (const ExecResourceExhausted& exhausted) {
+    result = CountResult{};
+    result.status = CountStatus::kResourceExhausted;
+    result.method = "interrupted";
+    result.mem_refused_bytes = exhausted.requested_bytes;
+  }
+  // Plan stamps its own time; an interrupted plan is stamped here.
+  result.planner_ms =
+      planned.plan != nullptr ? planned.planner_ms : ElapsedMs(plan_start);
+  if (execute_span.has_value()) {
     // Stamped here rather than by ExecutePlan so interrupted and refused
     // executions report the time they ran too.
     result.execute_ms = ElapsedMs(execute_start);
     // Pool workers contribute through the ExecStats atomics, never the
     // trace; their totals are annotated here, when the span closes.
+    TraceSpan& span = *execute_span;
     span.Note("method", result.method);
     span.Note("status", CountStatusName(result.status));
     if (result.width > 0) {
@@ -226,6 +237,7 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
                    stats.filter_passes.load(std::memory_order_relaxed));
     span.NoteCount("cost_reorders",
                    stats.cost_reorders.load(std::memory_order_relaxed));
+    execute_span.reset();
   }
   result.filter_hits = stats.filter_hits.load(std::memory_order_relaxed);
   result.filter_passes = stats.filter_passes.load(std::memory_order_relaxed);
@@ -234,7 +246,8 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
   result.worklist_iterations =
       stats.worklist_iterations.load(std::memory_order_relaxed);
   result.cost_model_steered =
-      planned.plan->cost_model_steered || result.cost_reorders > 0;
+      (planned.plan != nullptr && planned.plan->cost_model_steered) ||
+      result.cost_reorders > 0;
   if (query_budget.has_value()) {
     result.mem_charged_bytes = query_budget->used();
     // The execution is over: whatever it charged into the shared process
@@ -245,7 +258,6 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
       process_budget->Release(query_budget->used());
     }
   }
-  result.planner_ms = planned.planner_ms;
   result.cache_hit = planned.cache_hit;
   result.cache_shard = planned.cache_shard;
   result.cache_shard_hits = planned.cache_shard_hits;
@@ -281,17 +293,21 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
     }
     latency.Record(total_ms);
     // Per-strategy counter: one locked map lookup per Count — off the
-    // kernel hot path, so simplicity beats caching the four refs.
-    registry
-        .GetCounter("sharpcq_counts_by_strategy_total",
-                    std::string("{strategy=\"") +
-                        PlanStrategyName(planned.plan->strategy) + "\"}")
-        .Add(1);
+    // kernel hot path, so simplicity beats caching the four refs. A count
+    // interrupted while planning has no strategy.
+    if (planned.plan != nullptr) {
+      registry
+          .GetCounter("sharpcq_counts_by_strategy_total",
+                      std::string("{strategy=\"") +
+                          PlanStrategyName(planned.plan->strategy) + "\"}")
+          .Add(1);
+    }
   }
   if (slow_log_.enabled() && slow_log_.ShouldRecord(total_ms)) {
     SlowQueryEntry entry;
     entry.wall_time = WallTimestamp();
-    entry.query = planned.canonical.key;
+    entry.query = planned.plan != nullptr ? planned.canonical.key
+                                          : CanonicalizeQuery(q).key;
     entry.method = result.method;
     entry.planner_ms = result.planner_ms;
     entry.execute_ms = result.execute_ms;

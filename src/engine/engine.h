@@ -127,9 +127,8 @@ struct CountJob {
 // "Concurrency model" section of DESIGN.md. CountBatch/CountAsync run jobs
 // on the engine's work-stealing thread pool.
 //
-// The legacy facades CountAnswers (core/sharp_counting.h) and
-// CountAnswersWithHybrid (hybrid/hybrid_counting.h) are thin wrappers over
-// the process-wide Shared() engine with their historical strategy gates.
+// Callers that want one strategy's behavior pass the planner options of
+// PlannerOptionsForStrategy ("sharp", "hybrid", ...) to Count.
 class CountingEngine {
  public:
   explicit CountingEngine(EngineOptions options = {});
@@ -140,8 +139,10 @@ class CountingEngine {
   CountResult Count(const ConjunctiveQuery& q, const Database& db,
                     const PlannerOptions& options);
   // Same with a cooperative stop signal: the token is threaded into the
-  // kernel's morsel claim loops (checked once per morsel) and the
-  // strategies' checkpoint sites, so a deadline expiring — or an explicit
+  // planner's width and #b searches (checked once per width and per
+  // pseudo-free set on a plan miss), the kernel's morsel claim loops
+  // (checked once per morsel) and the strategies' checkpoint sites, so a
+  // deadline expiring — or an explicit
   // Cancel(), e.g. the daemon noticing the client disconnected — stops the
   // execution within one morsel of probe work and returns a CountResult
   // whose status is kDeadlineExceeded/kCancelled (count is meaningless
@@ -205,8 +206,8 @@ class CountingEngine {
   // slow_query_* options above. The daemon's `inspect slowlog=1` reads it.
   SlowQueryLog& slow_query_log() { return slow_log_; }
 
-  // The process-wide engine used by the legacy facades and the enumeration
-  // path; all of them share one plan cache.
+  // The process-wide engine used by the enumeration path and by one-shot
+  // callers; all of them share one plan cache.
   static CountingEngine& Shared();
 
  private:

@@ -93,7 +93,6 @@ std::optional<std::size_t> EnumerateAnswers(const ConjunctiveQuery& q,
   planner.max_width = k;
   planner.enable_acyclic_ps13 = false;
   planner.enable_hybrid = false;
-  planner.full_profile = false;
   CountingEngine::Planned planned = CountingEngine::Shared().Plan(q, planner);
   if (planned.plan->strategy != PlanStrategy::kSharpHypertree) {
     return std::nullopt;  // no width-k #-hypertree decomposition

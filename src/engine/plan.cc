@@ -19,9 +19,8 @@ const char* PlanStrategyName(PlanStrategy strategy) {
 std::string PlannerOptions::CacheFingerprint() const {
   return "w" + std::to_string(max_width) + ";c" + std::to_string(max_cores) +
          ";a" + (enable_acyclic_ps13 ? "1" : "0") + ";h" +
-         (enable_hybrid ? "1" : "0") + ";p" + (full_profile ? "1" : "0") +
-         ";b" + std::to_string(hybrid_max_b) + ";s" +
-         std::to_string(hybrid_max_subsets);
+         (enable_hybrid ? "1" : "0") + ";b" + std::to_string(hybrid_max_b) +
+         ";s" + std::to_string(hybrid_max_subsets);
 }
 
 namespace {
@@ -47,7 +46,7 @@ std::string CountingPlan::DebugString() const {
   out += "\ncost: ~" + Short(cost.query_factor) + " * m^" +
          Short(cost.db_exponent);
   if (!cost.note.empty()) out += " " + cost.note;
-  out += "\n" + analysis.ToString();
+  out += "\n";
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/analyze.h"
 #include "core/sharp_decomposition.h"
 #include "hybrid/sharp_b.h"
 #include "query/conjunctive_query.h"
@@ -38,15 +37,10 @@ const char* PlanStrategyName(PlanStrategy strategy);
 struct PlannerOptions {
   int max_width = 3;          // largest width attempted (#-htw and #b)
   std::size_t max_cores = 8;  // substructure cores tried per width
-  // Strategy gates. The legacy facades disable the strategies they predate.
+  // Strategy gates, set by the PlannerOptionsForStrategy presets
+  // (engine/engine.h) to force one strategy.
   bool enable_acyclic_ps13 = true;
   bool enable_hybrid = true;
-  // With full_profile the plan carries the complete QueryAnalysis (htw,
-  // star size, core/frontier shape) for diagnostics. Without it planning
-  // computes only what strategy selection needs — acyclicity and the
-  // #-hypertree search — which keeps one-shot cold planning (the legacy
-  // facades, enumeration) as cheap as the pre-engine code paths.
-  bool full_profile = true;
   // Pass-through for the hybrid search (hybrid/sharp_b.h).
   std::size_t hybrid_max_b = static_cast<std::size_t>(-1);
   std::size_t hybrid_max_subsets = 4096;
@@ -67,8 +61,10 @@ struct CostEstimate {
 };
 
 // The output of planning: everything about counting that depends on the
-// query alone, computed once and reusable against any database. Immutable
-// once built, so concurrent counts read it without locks.
+// query alone, computed once and reusable against any database. It holds
+// only what strategy selection and execution read; the full structural
+// profile is AnalyzeQuery's (core/analyze.h). Immutable once built, so
+// concurrent counts read it without locks.
 struct CountingPlan {
   // The (canonicalized, when produced via the engine) query the artifacts
   // below refer to. Executing the plan counts THIS query; by construction
@@ -78,15 +74,10 @@ struct CountingPlan {
   PlanStrategy strategy = PlanStrategy::kBacktracking;
   PlannerOptions options;
 
-  // Structural profile (core size, widths, star size, frontier shape).
-  QueryAnalysis analysis;
-
-  // The paper's Q' — reused by diagnostics; also embedded in `sharp`.
-  ConjunctiveQuery colored_core;
-
   // kSharpHypertree: the witness decomposition and the width budget k at
-  // which the search succeeded (the method string reports k; the tree's own
-  // width may be smaller).
+  // which the search succeeded — the #-hypertree width, up to max_width (the
+  // method string reports k; the tree's own width may be smaller). 0 for
+  // every other strategy.
   std::optional<SharpDecomposition> sharp;
   int width_budget = 0;
 
@@ -104,6 +95,7 @@ struct CountingPlan {
   // instances). Purely provenance — every strategy is exact.
   bool cost_model_steered = false;
 
+  // The strategy, k and the cost sketch.
   std::string DebugString() const;
 };
 

@@ -33,11 +33,12 @@ std::uint64_t MaxQueryDegree(const ConjunctiveQuery& q,
   return degree;
 }
 
-// Eligibility for counting over the query's own join tree: every atom must
-// contribute a non-empty hyperedge and every free variable must occur in
-// some atom, so the materialized instance carries all output columns.
-bool AcyclicPs13Eligible(const ConjunctiveQuery& q, const QueryAnalysis& a) {
-  if (!a.is_acyclic || q.NumAtoms() == 0) return false;
+// Eligibility for counting over the query's own join tree: HQ must be
+// acyclic, every atom must contribute a non-empty hyperedge and every free
+// variable must occur in some atom, so the materialized instance carries
+// all output columns.
+bool AcyclicPs13Eligible(const ConjunctiveQuery& q) {
+  if (q.NumAtoms() == 0 || !IsAcyclic(q.BuildHypergraph())) return false;
   for (const Atom& atom : q.atoms()) {
     if (atom.Vars().empty()) return false;
   }
@@ -63,7 +64,7 @@ CostEstimate EstimateCost(const CountingPlan& plan) {
     case PlanStrategy::kBacktracking:
       // One witness search per candidate answer; worst case exponential in
       // the number of variables.
-      cost.db_exponent = static_cast<double>(plan.analysis.num_free);
+      cost.db_exponent = static_cast<double>(plan.query.free_vars().size());
       cost.note = "x witness search over existential variables";
       break;
   }
@@ -100,31 +101,13 @@ CountingPlan MakePlan(const ConjunctiveQuery& q, const PlannerOptions& options,
   plan.query = q;
   plan.options = options;
 
-  std::optional<SharpDecomposition> sharp;
-  if (options.full_profile) {
-    AnalysisArtifacts artifacts;
-    plan.analysis =
-        AnalyzeQuery(q, options.max_width, options.max_cores, &artifacts);
-    plan.colored_core = std::move(artifacts.colored_core);
-    sharp = std::move(artifacts.sharp);
-  } else {
-    // Minimal classification: only what the policy below consumes.
-    plan.analysis.num_atoms = q.NumAtoms();
-    plan.analysis.num_vars = q.AllVars().size();
-    plan.analysis.num_free = q.free_vars().size();
-    plan.analysis.is_acyclic = IsAcyclic(q.BuildHypergraph());
-    for (int k = 1; k <= options.max_width && !sharp.has_value(); ++k) {
-      sharp = FindSharpHypertreeDecomposition(q, k, options.max_cores);
-      if (sharp.has_value()) plan.analysis.sharp_hypertree_width = k;
-    }
-  }
-
+  std::optional<MinWidthSharpDecomposition> sharp =
+      FindMinWidthSharpDecomposition(q, options.max_width, options.max_cores);
   if (sharp.has_value()) {
     plan.strategy = PlanStrategy::kSharpHypertree;
-    plan.sharp = std::move(sharp);
-    plan.width_budget = plan.analysis.sharp_hypertree_width.value_or(0);
-  } else if (options.enable_acyclic_ps13 &&
-             AcyclicPs13Eligible(q, plan.analysis)) {
+    plan.sharp = std::move(sharp->decomposition);
+    plan.width_budget = sharp->k;
+  } else if (options.enable_acyclic_ps13 && AcyclicPs13Eligible(q)) {
     plan.strategy = PlanStrategy::kAcyclicPs13;
     // Data-aware tie-break: when the profile shows a relation with groups
     // past the degree threshold and the hybrid gate is open, route to #b —

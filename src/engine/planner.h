@@ -6,10 +6,11 @@
 
 namespace sharpcq {
 
-// The planner: the query-only, FPT half of counting. Runs the structural
-// classification (AnalyzeQuery — acyclicity, cores, htw, #-htw, star size)
-// and the width searches exactly once, then selects a strategy by an
-// explicit policy:
+// The planner: the query-only, FPT half of counting. Computes the two
+// structural facts the policy reads — the #-hypertree width up to
+// max_width (one FindMinWidthSharpDecomposition search) and, when that
+// fails, the acyclicity of HQ — then selects a strategy by an explicit
+// policy:
 //
 //   1. kSharpHypertree  if some k <= max_width admits a width-k
 //                       #-hypertree decomposition (Theorem 1.3);

@@ -44,7 +44,4 @@ std::optional<CountResult> CountBySharpBDecomposition(
   return CountViaSharpB(q, db, *d);
 }
 
-// CountAnswersWithHybrid is defined in engine/legacy_facades.cc: it
-// delegates to the engine layer, which sits above this one.
-
 }  // namespace sharpcq

@@ -30,18 +30,6 @@ std::optional<CountResult> CountBySharpBDecomposition(
     const ConjunctiveQuery& q, const Database& db, int k,
     const SharpBOptions& options = {});
 
-// DEPRECATED legacy facade: purely structural #-hypertree decompositions
-// first (widths 1..max_width), then hybrid #b-decompositions (same width
-// budget), then the backtracking baseline. Always exact; the method string
-// records which engine answered.
-//
-// Now a thin wrapper over the unified plan/execute engine (engine/engine.h)
-// sharing its process-wide plan cache; new code should construct a
-// CountingEngine directly.
-CountResult CountAnswersWithHybrid(const ConjunctiveQuery& q,
-                                   const Database& db,
-                                   const CountOptions& options = {});
-
 }  // namespace sharpcq
 
 #endif  // SHARPCQ_HYBRID_HYBRID_COUNTING_H_

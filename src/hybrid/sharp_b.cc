@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "algebra/exec_policy.h"
 #include "hybrid/min_degree_search.h"
 #include "solver/core.h"
 #include "util/check.h"
@@ -48,6 +49,9 @@ void ForEachSharpBCandidate(
     const SharpBOptions& options,
     const std::function<bool(const SharpBCandidate&)>& visit) {
   auto try_s_bar = [&](const IdSet& extra) -> bool {
+    // Up to max_subsets sets, each with a core enumeration: a plan miss
+    // can spend seconds here, so the deadline is checked per set.
+    CheckExecInterrupt();
     SharpBCandidate candidate;
     candidate.s_bar = Union(q.free_vars(), extra);
     ConjunctiveQuery q_s = q.WithFree(candidate.s_bar);

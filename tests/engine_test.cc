@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/analyze.h"
 #include "count/enumeration.h"
 #include "engine/engine.h"
 #include "gen/paper_queries.h"
@@ -28,7 +29,7 @@ TEST(PlannerTest, AcyclicQueryGetsWidthOneSharpPlan) {
   CountingPlan plan = MakePlan(q);
   EXPECT_EQ(plan.strategy, PlanStrategy::kSharpHypertree);
   EXPECT_EQ(plan.width_budget, 1);
-  EXPECT_EQ(plan.analysis.sharp_hypertree_width, 1);
+  EXPECT_EQ(AnalyzeQuery(q, 3).sharp_hypertree_width, plan.width_budget);
   ASSERT_TRUE(plan.sharp.has_value());
 }
 
@@ -70,7 +71,7 @@ TEST(PlannerTest, NoSharpBCandidatePlansExplicitBacktracking) {
   PlannerOptions options;
   options.max_width = 2;
   CountingPlan plan = MakePlan(q, options);
-  EXPECT_FALSE(plan.analysis.is_acyclic);
+  EXPECT_FALSE(IsAcyclic(plan.query.BuildHypergraph()));
   EXPECT_EQ(plan.strategy, PlanStrategy::kBacktracking);
   EXPECT_TRUE(plan.sharp_b.empty());
 
@@ -92,7 +93,7 @@ TEST(PlannerTest, AcyclicUnboundedWidthFamilyGetsPs13Plan) {
   PlannerOptions options;
   options.max_width = 3;
   CountingPlan plan = MakePlan(MakeQh2(5), options);
-  EXPECT_TRUE(plan.analysis.is_acyclic);
+  EXPECT_TRUE(IsAcyclic(plan.query.BuildHypergraph()));
   EXPECT_EQ(plan.strategy, PlanStrategy::kAcyclicPs13);
 }
 
@@ -111,7 +112,7 @@ TEST(PlannerTest, StrategyGatesRestoreLegacyBehavior) {
 
 TEST(PlannerTest, PlanCarriesProfileAndCost) {
   CountingPlan plan = MakePlan(MakeQ0());
-  EXPECT_EQ(plan.analysis.num_atoms, 9u);
+  EXPECT_EQ(plan.query.NumAtoms(), 9u);
   EXPECT_GT(plan.cost.db_exponent, 0.0);
   EXPECT_NE(plan.DebugString().find("sharp-hypertree"), std::string::npos);
 }
@@ -420,7 +421,7 @@ TEST(ExecutorTest, ProvenanceFieldsPopulated) {
   CountResult warm = engine.Count(q, db);
   EXPECT_GT(cold.planner_ms, 0.0);
   EXPECT_GT(cold.execute_ms, 0.0);
-  // The cached call skips AnalyzeQuery and the width searches entirely.
+  // The cached call skips the width searches entirely.
   EXPECT_LT(warm.planner_ms, cold.planner_ms);
 }
 

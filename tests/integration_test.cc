@@ -10,6 +10,7 @@
 #include "core/enumerate_answers.h"
 #include "core/sharp_counting.h"
 #include "count/enumeration.h"
+#include "engine/engine.h"
 #include "gen/paper_queries.h"
 #include "gen/random_gen.h"
 #include "hybrid/hybrid_counting.h"
@@ -39,7 +40,8 @@ Database SocialDb() {
 CountInt CountText(const std::string& text, const Database& db) {
   auto q = ParseQuery(text);
   EXPECT_TRUE(q.has_value()) << text;
-  CountResult result = CountAnswers(*q, db);
+  CountResult result = CountingEngine::Shared().Count(
+      *q, db, *PlannerOptionsForStrategy("sharp"));
   CountInt brute = CountByBacktracking(*q, db);
   EXPECT_EQ(result.count, brute) << text << " via " << result.method;
   return result.count;
@@ -103,7 +105,8 @@ TEST(IntegrationTest, HybridFacadeAgreesEverywhere) {
     dp.tuples_per_relation = 9;
     dp.seed = seed * 271;
     Database db = MakeRandomDatabase(q, dp);
-    CountResult result = CountAnswersWithHybrid(q, db);
+    CountResult result = CountingEngine::Shared().Count(
+        q, db, *PlannerOptionsForStrategy("hybrid"));
     EXPECT_EQ(result.count, CountByBacktracking(q, db))
         << "seed " << seed << " via " << result.method;
   }
@@ -112,9 +115,9 @@ TEST(IntegrationTest, HybridFacadeAgreesEverywhere) {
 TEST(IntegrationTest, HybridFacadeUsesHybridOnQbar) {
   ConjunctiveQuery q = MakeQbarh2(3);
   Database db = MakeQbarh2Database(3, 4);
-  CountOptions options;
+  PlannerOptions options = *PlannerOptionsForStrategy("hybrid");
   options.max_width = 2;  // structural fails at 2; hybrid succeeds
-  CountResult result = CountAnswersWithHybrid(q, db, options);
+  CountResult result = CountingEngine::Shared().Count(q, db, options);
   EXPECT_EQ(result.count, CountInt{1} << 3);
   EXPECT_EQ(result.method.rfind("#b-hypertree", 0), 0u) << result.method;
 }

@@ -2,9 +2,12 @@
 
 #include <tuple>
 
+#include "core/analyze.h"
 #include "core/sharp_counting.h"
 #include "count/enumeration.h"
 #include "count/starsize.h"
+#include "engine/engine.h"
+#include "gen/paper_queries.h"
 #include "gen/random_gen.h"
 #include "hybrid/degree.h"
 #include "hybrid/degree_counting.h"
@@ -55,7 +58,8 @@ TEST_P(CountingAgreementTest, FrontierMaterializationAgrees) {
 }
 
 TEST_P(CountingAgreementTest, FacadeAgrees) {
-  CountResult result = CountAnswers(query_, db_);
+  CountResult result = CountingEngine::Shared().Count(
+      query_, db_, *PlannerOptionsForStrategy("sharp"));
   EXPECT_EQ(result.count, truth_) << "method: " << result.method;
 }
 
@@ -97,6 +101,48 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- structural invariants on random instances -------------------------------
 
+// The shared width search returns exactly what per-k calls return: the
+// first k with a decomposition, built on the same core with the same tree.
+// The planner's width budget is the profile's #-hypertree width.
+void ExpectSharedWidthSearchMatchesPerK(const ConjunctiveQuery& q,
+                                        int k_max) {
+  std::optional<SharpDecomposition> per_k;
+  int per_k_width = 0;
+  for (int k = 1; k <= k_max && !per_k.has_value(); ++k) {
+    per_k = FindSharpHypertreeDecomposition(q, k);
+    if (per_k.has_value()) per_k_width = k;
+  }
+  std::optional<MinWidthSharpDecomposition> shared =
+      FindMinWidthSharpDecomposition(q, k_max);
+  ASSERT_EQ(shared.has_value(), per_k.has_value());
+  if (per_k.has_value()) {
+    EXPECT_EQ(shared->k, per_k_width);
+    EXPECT_EQ(shared->decomposition.core.atoms(), per_k->core.atoms());
+    EXPECT_EQ(shared->decomposition.tree.bags, per_k->tree.bags);
+    EXPECT_EQ(shared->decomposition.tree.view_ids, per_k->tree.view_ids);
+    EXPECT_EQ(shared->decomposition.tree.shape.parent,
+              per_k->tree.shape.parent);
+    EXPECT_EQ(shared->decomposition.width, per_k->width);
+  }
+  EXPECT_EQ(AnalyzeQuery(q, 3).sharp_hypertree_width.value_or(0),
+            MakePlan(q).width_budget);
+}
+
+TEST(SharedWidthSearchTest, MatchesPerKCallsOnPaperFamilies) {
+  const std::vector<std::pair<std::string, ConjunctiveQuery>> queries = {
+      {"Q0", MakeQ0()},           {"Q1", MakeQ1()},
+      {"Qh2(2)", MakeQh2(2)},     {"Qh2(3)", MakeQh2(3)},
+      {"Qbar2(2)", MakeQbarh2(2)}, {"Qbar2(3)", MakeQbarh2(3)},
+      {"Qn1(3)", MakeQn1(3)},     {"Qn1(5)", MakeQn1(5)},
+      {"Qn2(3)", MakeQn2(3)},     {"Qn2(4)", MakeQn2(4)},
+      {"K3", MakeCliqueQuery(3)}, {"K4", MakeCliqueQuery(4)},
+  };
+  for (const auto& [name, q] : queries) {
+    SCOPED_TRACE(name);
+    ExpectSharedWidthSearchMatchesPerK(q, 4);
+  }
+}
+
 class SharpWidthPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SharpWidthPropertyTest, WidthSearchIsMonotoneInK) {
@@ -107,6 +153,7 @@ TEST_P(SharpWidthPropertyTest, WidthSearchIsMonotoneInK) {
   qp.num_free = 2;
   qp.seed = static_cast<std::uint64_t>(GetParam());
   ConjunctiveQuery q = MakeRandomQuery(qp);
+  ExpectSharedWidthSearchMatchesPerK(q, 4);
   bool found = false;
   for (int k = 1; k <= 4; ++k) {
     bool now = FindSharpHypertreeDecomposition(q, k).has_value();

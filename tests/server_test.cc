@@ -18,6 +18,7 @@
 #include "algebra/exec_policy.h"
 #include "count/enumeration.h"
 #include "engine/engine.h"
+#include "gen/paper_queries.h"
 #include "query/parser.h"
 #include "server/client.h"
 #include "server/daemon.h"
@@ -235,6 +236,36 @@ TEST(EngineCancelTest, DeadlineExpiryMidBacktrackingReturnsDeadlineExceeded) {
       engine.Count(Parse(kSlowQuery), small, *planner, nullptr);
   EXPECT_TRUE(full.ok());
   EXPECT_EQ(full.count, CountInt{2});  // 1-2-1-2 and 2-1-2-1
+}
+
+TEST(EngineCancelTest, DeadlineBoundsAPlanMiss) {
+  // Q^8_2 under the hybrid preset: no #-hypertree decomposition up to width
+  // 3, so planning runs the width search and then the #b search over the
+  // pseudo-free sets — over a second of planning before execution starts.
+  // Both searches check the deadline, so the count stops inside planning.
+  ConjunctiveQuery q = MakeQh2(8);
+  Database db = MakeQh2Database(8);
+  CountingEngine engine;
+  auto planner = PlannerOptionsForStrategy("hybrid", engine.options().planner);
+  ASSERT_TRUE(planner.has_value());
+  CancelToken token;
+  token.SetDeadlineAfter(std::chrono::milliseconds(50));
+  auto start = steady_clock::now();
+  CountResult result = engine.Count(q, db, *planner, &token);
+  double elapsed_ms = MsSince(start);
+  EXPECT_EQ(result.status, CountStatus::kDeadlineExceeded);
+  EXPECT_EQ(result.method, "interrupted");
+  EXPECT_LT(elapsed_ms, 500.0);
+  // The planning it did is reported; execution never started.
+  EXPECT_GT(result.planner_ms, 0.0);
+  EXPECT_LE(result.planner_ms, elapsed_ms);
+  EXPECT_EQ(result.execute_ms, 0.0);
+  // The interrupted plan was not cached: the next count plans afresh and
+  // completes.
+  CountResult full = engine.Count(q, db, *planner, nullptr);
+  EXPECT_TRUE(full.ok());
+  EXPECT_FALSE(full.cache_hit);
+  EXPECT_EQ(full.count, CountInt{1} << 8);
 }
 
 // --- daemon ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include "core/sharp_counting.h"
 #include "core/sharp_decomposition.h"
 #include "count/enumeration.h"
+#include "engine/engine.h"
 #include "gen/paper_queries.h"
 #include "gen/random_gen.h"
 #include "solver/core.h"
@@ -193,15 +194,15 @@ TEST(SharpCountTest, CountAnswersFacadeFallsBackGracefully) {
   // and still return the right count.
   ConjunctiveQuery q = MakeQh2(3);
   Database db = MakeQh2Database(3);
-  CountOptions options;
+  PlannerOptions options = *PlannerOptionsForStrategy("sharp");
   options.max_width = 2;
-  CountResult result = CountAnswers(q, db, options);
+  CountResult result = CountingEngine::Shared().Count(q, db, options);
   EXPECT_EQ(result.count, CountInt{1} << 3);
   EXPECT_EQ(result.method, "backtracking");
   // With enough width the structural method kicks in.
-  CountOptions wide;
+  PlannerOptions wide = *PlannerOptionsForStrategy("sharp");
   wide.max_width = 4;
-  CountResult structural = CountAnswers(q, db, wide);
+  CountResult structural = CountingEngine::Shared().Count(q, db, wide);
   EXPECT_EQ(structural.count, CountInt{1} << 3);
   EXPECT_NE(structural.method, "backtracking");
 }
