@@ -17,10 +17,12 @@
 #include "bench/bench_main.h"
 
 #include "count/enumeration.h"
+#include "engine/executor.h"
 #include "gen/paper_queries.h"
 #include "hybrid/degree.h"
 #include "hybrid/degree_counting.h"
 #include "hybrid/optimal_decomp.h"
+#include "tests/test_util.h"
 #include "util/check.h"
 
 namespace sharpcq {
@@ -177,6 +179,26 @@ void BM_Ps13_AcyclicScalingInM(benchmark::State& state) {
   state.counters["answers_per_m"] = 1.0;
 }
 BENCHMARK(BM_Ps13_AcyclicScalingInM)->DenseRange(4, 12, 2);
+
+// The engine's kAcyclicPs13 path on Q^h_2, as analytic_repeat runs it: the
+// join tree of the query's own atoms, full-reduced, then PS13. The r-vertex
+// holds m singleton sets and every child step semijoins all of them, so the
+// cost is the #-relation work per step, not the degree.
+void BM_Ps13_Qh2Atoms(benchmark::State& state) {
+  const int h = static_cast<int>(state.range(0));
+  ConjunctiveQuery q = MakeQh2(h);
+  // Columnar, as a snapshot-served catalog holds it: the atoms share the
+  // stored tables, so their indexes stay cached across counts.
+  Database db = ColumnarCopy(MakeQh2Database(h));
+  CountInt answers = 0;
+  for (auto _ : state) {
+    answers = CountByAcyclicPs13(q, db).count;
+    benchmark::DoNotOptimize(answers);
+  }
+  SHARPCQ_CHECK(answers == (CountInt{1} << h));
+  state.counters["m"] = static_cast<double>(std::size_t{1} << h);
+}
+BENCHMARK(BM_Ps13_Qh2Atoms)->DenseRange(8, 12, 2);
 
 }  // namespace
 }  // namespace sharpcq

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "algebra/stats.h"
 #include "core/analyze.h"
 #include "count/enumeration.h"
 #include "data/database.h"
@@ -58,9 +59,13 @@ int main() {
 
   sharpcq::CountingEngine engine;
 
-  // Planning is query-only; show what the engine decided before touching
-  // the database, next to the query's full structural profile.
-  sharpcq::CountingEngine::Planned planned = engine.Plan(*q);
+  // Planning is query-only apart from the coarse data profile that breaks
+  // strategy ties; show what the engine decided before counting, next to
+  // the query's full structural profile. The plan cache is keyed by that
+  // profile too, so the Count below reuses this plan.
+  const sharpcq::DataProfile data_profile = sharpcq::BuildDataProfile(db);
+  sharpcq::CountingEngine::Planned planned =
+      engine.Plan(*q, engine.options().planner, &data_profile);
   std::printf("plan:\n%s\n", planned.plan->DebugString().c_str());
   std::printf("profile:\n%s\n", sharpcq::AnalyzeQuery(*q).ToString().c_str());
 

@@ -1,5 +1,7 @@
 #include "core/materialize.h"
 
+#include <algorithm>
+
 #include "query/atom_relation.h"
 #include "util/check.h"
 
@@ -140,14 +142,22 @@ JoinTreeInstance MaterializeBags(const ConjunctiveQuery& core,
                                  const Database& db, const BagTree& tree,
                                  const ViewSet& views) {
   // Assign every core atom to the first bag covering it, to be enforced
-  // there (the decomposition completion of the Theorem 6.2 proof).
+  // there (the decomposition completion of the Theorem 6.2 proof). An atom
+  // identical to one of that bag's guard atoms is already enforced by the
+  // guard join, since chi keeps all of its variables, so it is not
+  // semijoined again.
   std::vector<std::vector<Rel>> assigned(tree.bags.size());
   for (const Atom& atom : core.atoms()) {
     IdSet vars = atom.Vars();
     std::size_t v = 0;
     while (v < tree.bags.size() && !vars.IsSubsetOf(tree.bags[v])) ++v;
     SHARPCQ_CHECK_MSG(v < tree.bags.size(), "core atom not covered by any bag");
-    assigned[v].push_back(AtomToRel(atom, db));
+    const std::vector<int>& guards =
+        views.guards[static_cast<std::size_t>(tree.view_ids[v])];
+    const bool guarded = std::any_of(guards.begin(), guards.end(), [&](int g) {
+      return guard_query.atoms()[static_cast<std::size_t>(g)] == atom;
+    });
+    if (!guarded) assigned[v].push_back(AtomToRel(atom, db));
   }
 
   JoinTreeInstance instance;

@@ -63,7 +63,10 @@ Rel MaterializeBag(const IdSet& chi, std::vector<Rel> guards,
 // legal w.r.t. the query (core/legality.h). Every atom of `core` must be
 // covered by some bag; each is assigned to the first covering bag and
 // enforced there via a semijoin, so the instance is a *complete*
-// decomposition of `core`.
+// decomposition of `core`. An atom identical to one of that bag's guard
+// atoms (same relation, same term list) is enforced by the guard join
+// itself and is not semijoined: a width-1 bag whose chi is its guard's
+// variables is then the guard's relation, sharing a stored table as is.
 JoinTreeInstance MaterializeBags(const ConjunctiveQuery& core,
                                  const ConjunctiveQuery& guard_query,
                                  const Database& db, const BagTree& tree,

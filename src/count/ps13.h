@@ -16,8 +16,9 @@ struct Ps13Stats {
   std::size_t max_sets = 0;
   // Largest cardinality of any set S (bounded by the degree h).
   std::size_t max_set_size = 0;
-  // Total number of set-pair semijoins performed.
-  std::size_t semijoin_ops = 0;
+  // Work of the set semijoins: parent rows walked plus kept rows appended,
+  // summed over every (parent, child) step.
+  std::size_t rows_visited = 0;
 };
 
 // The Pichler–Skritek counting algorithm (Figure 13), generalized exactly as
@@ -30,7 +31,11 @@ struct Ps13Stats {
 // semijoin R ⋉ R' = { S ⋉ S' != empty } while coefficients count the
 // distinct free-assignment combinations below. Runtime is exponential only
 // in the degree bound h = bound(D, HD) (Definition 6.1), not in the
-// database size.
+// database size. Each (parent, child) step costs the parent's rows plus
+// the rows it keeps (Ps13Stats::rows_visited), via an inverted list from
+// join keys to the child sets holding them, and equal result sets are
+// merged by hashing. The #-relation arenas are charged against the
+// execution's memory budget as they grow.
 CountInt Ps13Count(const JoinTreeInstance& instance, const IdSet& free_vars,
                    Ps13Stats* stats = nullptr);
 

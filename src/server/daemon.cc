@@ -145,7 +145,7 @@ bool Daemon::Start(std::string* error) {
 
   start_time_ = MonotonicNow();
   started_at_ = WallTimestamp();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   watch_thread_ = std::thread([this] { WatchLoop(); });
   return true;
 }
@@ -179,12 +179,15 @@ void Daemon::Stop() {
     for (auto& [fd, token] : watched_) token->Cancel();
   }
   admission_cv_.notify_all();
+  // The shutdown wakes the accept thread, which owns a copy of the fd; the
+  // fd is closed only after that thread has exited, so its number cannot
+  // be recycled under a pending accept.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (watch_thread_.joinable()) watch_thread_.join();
   std::vector<std::thread> connections;
   {
@@ -201,9 +204,9 @@ DaemonStats Daemon::stats() const {
   return stats_;
 }
 
-void Daemon::AcceptLoop() {
+void Daemon::AcceptLoop(int listen_fd) {
   for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listener closed by Stop (or fatal; either way, stop)

@@ -122,7 +122,8 @@ class Daemon {
   DaemonStats stats() const;
 
  private:
-  void AcceptLoop();
+  // Accepts on `listen_fd` until Stop shuts it down.
+  void AcceptLoop(int listen_fd);
   void WatchLoop();
   void ServeConnection(int fd);
 

@@ -372,6 +372,41 @@ TEST(ExecutorTest, EngineCountsQh2ViaPs13WhenWidthBudgetTooSmall) {
   EXPECT_EQ(result.count, CountInt{1} << h);
 }
 
+TEST(ExecutorTest, Ps13SharpRelationsAreChargedToTheQueryBudget) {
+  const int h = 12;
+  const ConjunctiveQuery q = MakeQh2(h);
+  const Database db = ColumnarCopy(MakeQh2Database(h));
+  const PlannerOptions ps13 = *PlannerOptionsForStrategy("ps13");
+
+  // What a warm count charges: the stored tables' indexes are cached by
+  // the first count, so what is left is the #-relation arenas, charged
+  // last (PS13 runs after every kernel operator of the count).
+  EngineOptions tracking;
+  tracking.max_query_bytes = 1ull << 40;
+  CountingEngine tracker(tracking);
+  ASSERT_TRUE(tracker.Count(q, db, ps13).ok());
+  const CountResult full = tracker.Count(q, db, ps13);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full.method, "acyclic-ps13");
+  ASSERT_GT(full.mem_charged_bytes, 0u);
+
+  // One byte short: the refusal lands on an arena growth inside PS13.
+  EngineOptions tight;
+  tight.max_query_bytes = full.mem_charged_bytes - 1;
+  Trace trace;
+  const CountResult refused =
+      CountingEngine(tight).Count(q, db, ps13, /*cancel=*/nullptr, &trace);
+  EXPECT_EQ(refused.status, CountStatus::kResourceExhausted);
+  std::vector<const TraceNode*> ps13_spans;
+  CollectSpans(trace.root(), "ps13_count", &ps13_spans);
+  EXPECT_EQ(ps13_spans.size(), 1u);
+
+  CountingEngine unbudgeted;
+  const CountResult next = unbudgeted.Count(q, db, ps13);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.count, CountInt{1} << h);
+}
+
 TEST(ExecutorTest, EngineCountsHybridFamilyViaSharpB) {
   PlannerOptions options;
   options.max_width = 2;

@@ -12,10 +12,13 @@
 
 #include "algebra/rel.h"
 #include "core/materialize.h"
+#include "core/sharp_counting.h"
 #include "core/sharp_decomposition.h"
+#include "count/enumeration.h"
 #include "data/var_relation.h"
 #include "gen/paper_queries.h"
 #include "query/atom_relation.h"
+#include "query/parser.h"
 #include "tests/test_util.h"
 
 namespace sharpcq {
@@ -225,6 +228,68 @@ TEST(MaterializeBagsTest, NamedViewIsTheBagsSingleGuard) {
   auto d = FindSharpDecomposition(q, ViewsFromNamedRelations(views));
   ASSERT_TRUE(d.has_value());
   ExpectBagsSameAsJoinThenProject(q, db, *d);
+}
+
+
+ConjunctiveQuery ParseOrDie(const char* text) {
+  std::optional<ConjunctiveQuery> q = ParseQuery(text);
+  EXPECT_TRUE(q.has_value()) << text;
+  return *q;
+}
+
+TEST(MaterializeBagsTest, WidthOneGuardAtomIsNotSemijoinedWithItself) {
+  const ConjunctiveQuery q = ParseOrDie("Q(X,Y,Z) <- r(X,Y), s(Y,Z)");
+  Database raw;
+  for (auto [x, y] : {std::pair<Value, Value>{1, 2}, {2, 3}, {4, 9}}) {
+    raw.AddTuple("r", {x, y});
+  }
+  for (auto [y, z] : {std::pair<Value, Value>{2, 5}, {3, 6}, {7, 7}}) {
+    raw.AddTuple("s", {y, z});
+  }
+  const Database db = ColumnarCopy(raw);
+  auto d = FindSharpHypertreeDecomposition(q, 1);
+  ASSERT_TRUE(d.has_value());
+  const JoinTreeInstance instance =
+      MaterializeBags(d->core, q, db, d->tree, d->views);
+  int shared = 0;
+  for (std::size_t v = 0; v < instance.nodes.size(); ++v) {
+    const std::vector<int>& guards =
+        d->views.guards[static_cast<std::size_t>(d->tree.view_ids[v])];
+    ASSERT_EQ(guards.size(), 1u);
+    const Atom& guard = q.atoms()[static_cast<std::size_t>(guards[0])];
+    if (d->tree.bags[v] != guard.Vars()) continue;
+    // The bag is the stored table itself, and no semijoin built an index
+    // on it.
+    const std::shared_ptr<const Table> stored =
+        db.ColumnarBacking(guard.relation);
+    EXPECT_EQ(instance.nodes[v].table(), stored) << "bag " << v;
+    EXPECT_EQ(stored->CachedIndexCount(), 0u) << "bag " << v;
+    ++shared;
+  }
+  EXPECT_EQ(shared, 2);
+  ExpectBagsSameAsJoinThenProject(q, db, *d);
+  EXPECT_EQ(CountViaSharpDecomposition(q, db, *d).count,
+            CountByBacktracking(q, db));
+}
+
+TEST(MaterializeBagsTest, ReversedAtomOverTheGuardRelationIsStillEnforced) {
+  // r(X,Y) and r(Y,X) share a relation but not a term list: the bag that
+  // r(X,Y) guards must still be semijoined with r(Y,X).
+  const ConjunctiveQuery q = ParseOrDie("Q(X,Y) <- r(X,Y), r(Y,X)");
+  Database raw;
+  for (auto [x, y] : {std::pair<Value, Value>{1, 2}, {2, 1}, {3, 4}, {5, 5}}) {
+    raw.AddTuple("r", {x, y});
+  }
+  const Database db = ColumnarCopy(raw);
+  auto d = FindSharpHypertreeDecomposition(q, 1);
+  ASSERT_TRUE(d.has_value());
+  ExpectBagsSameAsJoinThenProject(q, db, *d);
+  const JoinTreeInstance instance =
+      MaterializeBags(d->core, q, db, d->tree, d->views);
+  ASSERT_FALSE(instance.nodes.empty());
+  EXPECT_EQ(instance.nodes[0].size(), 3u);  // (1,2), (2,1), (5,5)
+  EXPECT_EQ(CountViaSharpDecomposition(q, db, *d).count, CountInt{3});
+  EXPECT_EQ(CountByBacktracking(q, db), CountInt{3});
 }
 
 }  // namespace
