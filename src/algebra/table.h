@@ -465,7 +465,8 @@ class Table {
   // No-op when stats are already cached — first install wins.
   void InstallStats(std::shared_ptr<const TableStats> stats) const;
 
-  // Number of indexes currently cached (diagnostics and tests).
+  // Number of indexes currently cached (diagnostics and tests); for a
+  // PermutedAlias, its base's.
   std::size_t CachedIndexCount() const;
 
   // The empty table of the given arity.
@@ -492,6 +493,18 @@ class Table {
       std::vector<std::span<const Value>> cols, std::size_t rows,
       std::shared_ptr<const void> arena);
 
+  // The table whose column c is base's column columns[c], zero-copy. The
+  // returned pointer shares ownership of base and carries base's cached
+  // stats, permuted. For a base of at least kDefaultMorselRows rows the
+  // alias is made on first use and cached for base's lifetime, and its
+  // indexes are base's: IndexOn maps the key columns through `columns` and
+  // asks base, so they stay cached across queries like base's own and
+  // every permutation shares one set. A smaller base gets a fresh alias
+  // with its own indexes on every call. Thread-safe under the same mutex
+  // discipline as IndexOn.
+  static std::shared_ptr<const Table> PermutedAlias(
+      const std::shared_ptr<const Table>& base, std::vector<int> columns);
+
   // True when the column buffers alias external memory (diagnostics).
   bool is_external() const { return arena_ != nullptr; }
 
@@ -517,6 +530,14 @@ class Table {
   mutable std::map<std::vector<int>, std::shared_ptr<const TableIndex>>
       index_cache_;
   mutable std::shared_ptr<const TableStats> stats_;  // guarded by cache_mu_
+  // PermutedAlias's cache, guarded by cache_mu_. An alias holds only a raw
+  // pointer back to this table, which owns it, so there is no cycle.
+  mutable std::map<std::vector<int>, std::unique_ptr<const Table>>
+      alias_cache_;
+  // Set on a PermutedAlias: the table that owns it and holds its indexes,
+  // and the base column of each of its columns.
+  const Table* base_ = nullptr;
+  std::vector<int> base_columns_;
 };
 
 namespace probe_internal {

@@ -72,12 +72,12 @@ class BacktrackCounter {
  private:
   // True if atom `i` has a row consistent with the current partial
   // assignment (checking only bound variables).
-  bool AtomConsistent(std::size_t i) const {
+  bool AtomConsistent(std::size_t i) {
     const VarRelation& r = atom_rels_[i];
-    for (std::size_t row = 0; row < r.size(); ++row) {
-      if (RowMatches(r, row)) return true;
-    }
-    return false;
+    std::size_t row = 0;
+    while (row < r.size() && !RowMatches(r, row)) ++row;
+    ChargeRows(row);
+    return row < r.size();
   }
 
   bool RowMatches(const VarRelation& r, std::size_t row) const {
@@ -90,17 +90,22 @@ class BacktrackCounter {
     return true;
   }
 
-  // Deadline/cancellation checkpoint, amortized: the backtracking search
-  // can run for seconds without ever touching a morselized probe loop, so
-  // it polls the execution's cancel token itself every 4096 tree nodes.
-  void MaybeCheckInterrupt() {
-    if ((++interrupt_tick_ & 0xFFFu) == 0) CheckExecInterrupt();
+  // Deadline/cancellation checkpoint, amortized over the work done: the
+  // backtracking search can run for seconds without ever touching a
+  // morselized probe loop, so it polls the execution's cancel token itself
+  // once per kRowsPerCheck rows scanned. One search node can scan whole
+  // relations, so counting nodes would not bound the time between polls.
+  void ChargeRows(std::size_t rows) {
+    rows_since_check_ += rows + 1;  // + 1: an empty scan still counts
+    if (rows_since_check_ >= kRowsPerCheck) {
+      rows_since_check_ = 0;
+      CheckExecInterrupt();
+    }
   }
 
   // Counts answers below the current partial assignment of order_[0..pos).
   // Only called with pos <= num_free_.
   void Recurse(std::size_t pos, CountInt* count) {
-    MaybeCheckInterrupt();
     if (pos == num_free_) {
       // All free variables bound: this is an answer iff the existential
       // suffix has at least one witness (found with early exit).
@@ -117,7 +122,6 @@ class BacktrackCounter {
   }
 
   bool ExistsExtension(std::size_t pos) {
-    MaybeCheckInterrupt();
     if (pos == order_.size()) return true;
     VarId v = order_[pos];
     for (Value candidate : Candidates(v)) {
@@ -132,7 +136,7 @@ class BacktrackCounter {
 
   // Candidate values for `v`: distinct values in the smallest atom relation
   // containing v, filtered by the current assignment.
-  std::vector<Value> Candidates(VarId v) const {
+  std::vector<Value> Candidates(VarId v) {
     auto it = atoms_of_.find(v);
     SHARPCQ_CHECK_MSG(it != atoms_of_.end(),
                       "variable occurs in no atom");
@@ -148,6 +152,7 @@ class BacktrackCounter {
         values.push_back(r.rel().Row(row)[static_cast<std::size_t>(col)]);
       }
     }
+    ChargeRows(r.size());
     std::sort(values.begin(), values.end());
     values.erase(std::unique(values.begin(), values.end()), values.end());
     return values;
@@ -155,7 +160,7 @@ class BacktrackCounter {
 
   // Forward check: every atom containing `v` must still have a consistent
   // row.
-  bool ConsistentAround(VarId v) const {
+  bool ConsistentAround(VarId v) {
     for (std::size_t i : atoms_of_.at(v)) {
       if (!AtomConsistent(i)) return false;
     }
@@ -169,7 +174,8 @@ class BacktrackCounter {
   std::unordered_map<VarId, std::vector<std::size_t>> atoms_of_;
   std::vector<bool> bound_;
   std::vector<Value> value_;
-  std::uint32_t interrupt_tick_ = 0;
+  static constexpr std::size_t kRowsPerCheck = 4096;
+  std::size_t rows_since_check_ = 0;
 };
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "engine/executor.h"
 
+#include <memory>
+
 #include "algebra/exec_policy.h"
 #include "count/enumeration.h"
 #include "count/join_tree_instance.h"
@@ -23,15 +25,50 @@ CountResult ExecuteSharpHypertree(const CountingPlan& plan,
 }
 
 // The #b search's data half over the plan's stored candidates, by
-// increasing width. Falls through to backtracking only when a finite
-// hybrid_max_b rejects every candidate at every width.
-CountResult ExecuteSharpB(const CountingPlan& plan, const Database& db) {
+// increasing width: the first decomposition within hybrid_max_b, or null
+// when a finite cap rejects every candidate at every width.
+std::shared_ptr<const SharpBDecomposition> ChooseSharpB(
+    const CountingPlan& plan, const Database& db) {
   for (const SharpBCandidates& width : plan.sharp_b) {
     CheckExecInterrupt();
     std::optional<SharpBDecomposition> d = FindSharpBDecomposition(
         plan.query, db, width, plan.options.hybrid_max_b);
-    if (d.has_value()) return CountViaSharpB(plan.query, db, *d);
+    if (d.has_value()) {
+      return std::make_shared<const SharpBDecomposition>(std::move(*d));
+    }
   }
+  return nullptr;
+}
+
+// The columnar table behind each atom of q, in atom order; empty when some
+// atom reads a row-major relation, which has no identity to key a memo on.
+std::vector<std::shared_ptr<const Table>> ColumnarTablesOf(
+    const ConjunctiveQuery& q, const Database& db) {
+  std::vector<std::shared_ptr<const Table>> tables;
+  tables.reserve(q.NumAtoms());
+  for (const Atom& atom : q.atoms()) {
+    std::shared_ptr<const Table> table = db.ColumnarBacking(atom.relation);
+    if (table == nullptr) return {};
+    tables.push_back(std::move(table));
+  }
+  return tables;
+}
+
+// Theorem 6.6 counting over the decomposition the data step chose. The step
+// runs once per data generation: over columnar data the plan's memo keeps
+// its outcome, keyed on the tables it read. Over row-major data it runs on
+// every count. An interrupted step throws before the store, so it leaves
+// the memo as it was. Falls through to backtracking only when a finite
+// hybrid_max_b rejects every candidate at every width.
+CountResult ExecuteSharpB(const CountingPlan& plan, const Database& db) {
+  const std::vector<std::shared_ptr<const Table>> tables =
+      ColumnarTablesOf(plan.query, db);
+  std::shared_ptr<const SharpBDecomposition> chosen;
+  if (tables.empty() || !plan.sharp_b_memo.Find(tables, &chosen)) {
+    chosen = ChooseSharpB(plan, db);
+    if (!tables.empty()) plan.sharp_b_memo.Store(tables, chosen);
+  }
+  if (chosen != nullptr) return CountViaSharpB(plan.query, db, *chosen);
   TraceSpan span("backtracking");
   CountResult result;
   result.method = "backtracking";

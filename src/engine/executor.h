@@ -14,18 +14,20 @@ namespace sharpcq {
 //
 // Thread safety: ExecutePlan is a pure function of (plan, db) — every
 // scratch structure (materialized bags, join-tree instances, the hybrid
-// degree oracle and memo tables) is call-local, and no reachable code
-// mutates the plan, its query's shared variable NameTable, or the
-// database. Any number of threads may execute one shared plan
-// concurrently; see the "Concurrency model" section of DESIGN.md.
+// degree oracle) is call-local, and no reachable code mutates the plan's
+// query, its shared variable NameTable, or the database. The one write is
+// the kSharpB plan's self-locking memo slot (SharpBMemo), whose outcome is
+// the same whichever count stores it. Any number of threads may execute
+// one shared plan concurrently; see the "Concurrency model" section of
+// DESIGN.md.
 //
 // Strategy semantics:
 //   kSharpHypertree  Theorem 3.7 over the plan's stored decomposition.
 //   kAcyclicPs13     PS13 over the join tree of the plan's query itself.
 //   kSharpB          the #b search's data half over the plan's stored
-//                    candidates (Theorem 6.7), then Theorem 6.6 counting;
-//                    backtracking only when a finite hybrid_max_b rejects
-//                    every candidate.
+//                    candidates (Theorem 6.7), once per data generation,
+//                    then Theorem 6.6 counting; backtracking only when a
+//                    finite hybrid_max_b rejects every candidate.
 //   kBacktracking    the enumerate-with-projection baseline.
 CountResult ExecutePlan(const CountingPlan& plan, const Database& db);
 

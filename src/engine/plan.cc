@@ -1,5 +1,7 @@
 #include "engine/plan.h"
 
+#include "util/check.h"
+
 namespace sharpcq {
 
 const char* PlanStrategyName(PlanStrategy strategy) {
@@ -14,6 +16,41 @@ const char* PlanStrategyName(PlanStrategy strategy) {
       return "backtracking";
   }
   return "unknown";
+}
+
+SharpBMemo& SharpBMemo::operator=(const SharpBMemo& other) {
+  if (this != &other) {
+    std::lock_guard<std::mutex> lock(mu_);
+    tables_.clear();
+    chosen_ = nullptr;
+  }
+  return *this;
+}
+
+bool SharpBMemo::Find(
+    const std::vector<std::shared_ptr<const Table>>& tables,
+    std::shared_ptr<const SharpBDecomposition>* chosen) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (tables_.empty() || tables_.size() != tables.size()) return false;
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    // An expired entry locks to null, which no live table equals.
+    if (tables_[i].lock() != tables[i]) return false;
+  }
+  *chosen = chosen_;
+  return true;
+}
+
+void SharpBMemo::Store(const std::vector<std::shared_ptr<const Table>>& tables,
+                       std::shared_ptr<const SharpBDecomposition> chosen) {
+  SHARPCQ_CHECK(!tables.empty());
+  std::lock_guard<std::mutex> lock(mu_);
+  tables_.assign(tables.begin(), tables.end());
+  chosen_ = std::move(chosen);
+}
+
+bool SharpBMemo::empty() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tables_.empty();
 }
 
 std::string PlannerOptions::CacheFingerprint() const {

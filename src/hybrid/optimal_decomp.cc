@@ -11,9 +11,10 @@ std::optional<DOptimalResult> FindDOptimalDecomposition(
   std::optional<TreeProjectionResult> existence =
       FindTreeProjection(cover, views);
   if (!existence.has_value()) return std::nullopt;
+  DegreeOracle oracle(views, q, db, q.free_vars());
   std::optional<MinDegreeResult> found = FindMinDegreeTreeProjection(
-      cover, views, std::move(existence->tree), q, db, q.free_vars(),
-      /*project_to=*/q.AllVars(), /*max_b=*/static_cast<std::size_t>(-1));
+      cover, std::move(existence->tree), /*project_to=*/q.AllVars(),
+      /*max_b=*/static_cast<std::size_t>(-1), &oracle);
   if (!found.has_value()) return std::nullopt;
   DOptimalResult result;
   result.hypertree = HypertreeFromBagTree(found->tree, views);

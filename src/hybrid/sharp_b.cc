@@ -82,22 +82,22 @@ void ForEachSharpBCandidate(
 // The data step on one candidate: its cores are tried in order and the
 // first whose minimum-degree tree projection achieves a bound under the cap
 // (max_b, or one below the best so far) replaces *best. Returns true once
-// b <= 1, which nothing can improve on.
-bool ImproveWith(const ConjunctiveQuery& q, const Database& db,
-                 const ViewSet& views, const SharpBCandidate& candidate,
-                 std::size_t max_b, std::optional<SharpBDecomposition>* best) {
+// b <= 1, which nothing can improve on. `oracle` is the width's one oracle:
+// every candidate and core reads the same guard views.
+bool ImproveWith(const SharpBCandidate& candidate, std::size_t max_b,
+                 DegreeOracle* oracle,
+                 std::optional<SharpBDecomposition>* best) {
   std::size_t cap = best->has_value() ? (*best)->bound - 1 : max_b;
   for (const SharpBCore& c : candidate.cores) {
     std::optional<MinDegreeResult> found = FindMinDegreeTreeProjection(
-        c.cover, views, c.existence, q, db, q.free_vars(), candidate.s_bar,
-        cap);
+        c.cover, c.existence, candidate.s_bar, cap, oracle);
     if (!found.has_value()) continue;
     SharpBDecomposition d;
     d.s_bar = candidate.s_bar;
     d.decomposition.core = c.core;
     d.decomposition.tree = std::move(found->tree);
-    d.decomposition.views = views;
-    d.decomposition.width = d.decomposition.tree.Width(views);
+    d.decomposition.views = oracle->views();
+    d.decomposition.width = d.decomposition.tree.Width(oracle->views());
     d.bound = std::max<std::size_t>(found->bound, 1);
     if (!best->has_value() || d.bound < (*best)->bound) *best = std::move(d);
     break;
@@ -106,8 +106,10 @@ bool ImproveWith(const ConjunctiveQuery& q, const Database& db,
 }
 
 void NoteOutcome(TraceSpan& span, std::size_t visited,
+                 const DegreeOracle& oracle,
                  const std::optional<SharpBDecomposition>& best) {
   span.NoteCount("visited", visited);
+  span.NoteCount("views_joined", oracle.views_joined());
   if (best.has_value()) {
     span.NoteCount("b", best->bound);
   } else {
@@ -138,13 +140,14 @@ std::optional<SharpBDecomposition> FindSharpBDecomposition(
     const SharpBCandidates& width, std::size_t max_b) {
   TraceSpan span("sharp_b_search");
   span.NoteCount("k", static_cast<std::uint64_t>(width.k));
+  DegreeOracle oracle(width.views, q, db, q.free_vars());
   std::optional<SharpBDecomposition> best;
   std::size_t visited = 0;
   for (const SharpBCandidate& candidate : width.candidates) {
     ++visited;
-    if (ImproveWith(q, db, width.views, candidate, max_b, &best)) break;
+    if (ImproveWith(candidate, max_b, &oracle, &best)) break;
   }
-  NoteOutcome(span, visited, best);
+  NoteOutcome(span, visited, oracle, best);
   return best;
 }
 
@@ -154,15 +157,16 @@ std::optional<SharpBDecomposition> FindSharpBDecomposition(
   TraceSpan span("sharp_b_search");
   span.NoteCount("k", static_cast<std::uint64_t>(k));
   const ViewSet views = BuildVk(q, k);
+  DegreeOracle oracle(views, q, db, q.free_vars());
   std::optional<SharpBDecomposition> best;
   std::size_t visited = 0;
   ForEachSharpBCandidate(q, views, options,
                          [&](const SharpBCandidate& candidate) {
                            ++visited;
-                           return ImproveWith(q, db, views, candidate,
-                                              options.max_b, &best);
+                           return ImproveWith(candidate, options.max_b,
+                                              &oracle, &best);
                          });
-  NoteOutcome(span, visited, best);
+  NoteOutcome(span, visited, oracle, best);
   return best;
 }
 

@@ -39,7 +39,7 @@ struct SharpBOptions {
 // cores of color(Q[S-bar]) that admit a width-k tree projection at all
 // (cores depend only on the query). The data half minimizes the degree b
 // over those candidates. The planner runs the first half once per plan;
-// every count then runs only the second.
+// the executor runs the second once per data generation.
 
 // One core of Q[S-bar] that admits a tree projection w.r.t. V^k.
 struct SharpBCore {

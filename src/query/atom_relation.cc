@@ -1,6 +1,5 @@
 #include "query/atom_relation.h"
 
-#include "algebra/stats.h"
 #include "algebra/table.h"
 #include "util/check.h"
 
@@ -129,18 +128,11 @@ Rel AtomToRel(const Atom& atom, const Database& db) {
       // Every tuple satisfies a plain atom and the projection onto vars is
       // a column permutation, so alias the stored columns directly: the
       // returned relation shares the snapshot's pages (zero copy), and the
-      // permutation of a row set is still a row set.
-      std::vector<std::span<const Value>> cols;
-      cols.reserve(vars.size());
-      for (int p : layout.first_pos) cols.push_back(stored->Column(p));
+      // permutation of a row set is still a row set. The stored table
+      // keeps one alias per permutation, so the alias's indexes, like the
+      // stored table's own, are built once and not on every count.
       std::shared_ptr<const Table> aliased =
-          Table::FromExternal(std::move(cols), stored->rows(), stored);
-      // The alias is a column permutation, so the stored table's cached
-      // stats carry over verbatim (permuted) — the cost model sees base
-      // relation statistics without ever recomputing them per query.
-      if (std::shared_ptr<const TableStats> stats = stored->StatsIfPresent()) {
-        aliased->InstallStats(PermuteStats(*stats, layout.first_pos));
-      }
+          Table::PermutedAlias(stored, layout.first_pos);
       return Rel(std::move(vars), std::move(aliased));
     }
   }

@@ -388,6 +388,10 @@ void Daemon::LeaveAdmission() {
 void Daemon::WatchDisconnect(int fd, CancelToken* token) {
   std::lock_guard<std::mutex> lock(watch_mu_);
   watched_[fd] = token;
+  // Stop() sets stopping_ before its sweep of watched_ under watch_mu_, so
+  // a count registering after that sweep sees the flag here and is
+  // cancelled at once instead of running to completion.
+  if (stopping_.load()) token->Cancel();
 }
 
 void Daemon::UnwatchDisconnect(int fd) {

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include "algebra/exec_policy.h"
 #include "core/analyze.h"
 #include "count/enumeration.h"
 #include "engine/engine.h"
 #include "gen/paper_queries.h"
 #include "gen/random_gen.h"
 #include "hypergraph/acyclic.h"
+#include "query/atom_relation.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
+#include "util/mem_budget.h"
 #include "util/trace.h"
 
 namespace sharpcq {
@@ -119,29 +122,6 @@ TEST(PlannerTest, PlanCarriesProfileAndCost) {
 
 // --- plan cache --------------------------------------------------------------
 
-const TraceNode* FindChild(const TraceNode& node, std::string_view name) {
-  for (const auto& child : node.children) {
-    if (child->name == name) return child.get();
-  }
-  return nullptr;
-}
-
-// Every span named `name` in the subtree below `node`.
-void CollectSpans(const TraceNode& node, std::string_view name,
-                  std::vector<const TraceNode*>* out) {
-  for (const auto& child : node.children) {
-    if (child->name == name) out->push_back(child.get());
-    CollectSpans(*child, name, out);
-  }
-}
-
-std::string NoteOf(const TraceNode& node, std::string_view key) {
-  for (const auto& [k, v] : node.notes) {
-    if (k == key) return v;
-  }
-  return "";
-}
-
 TEST(PlanCacheTest, SharpBCandidatesAreEnumeratedOnlyOnThePlanMiss) {
   CountingEngine engine;
   ConjunctiveQuery q = MakeQbarh2(4);
@@ -180,6 +160,156 @@ TEST(PlanCacheTest, SharpBCandidatesAreEnumeratedOnlyOnThePlanMiss) {
   ASSERT_EQ(searches.size(), 1u);
   EXPECT_EQ(NoteOf(*searches[0], "visited"), "1");
   EXPECT_EQ(NoteOf(*searches[0], "b"), "1");
+}
+
+// --- the #b data step, once per data generation ----------------------------
+
+// Qbar^3_2 on random data: its best width-2 #b decomposition has b = 4
+// (see ExecutorTest.FiniteHybridMaxBFallsThroughToTheNextWidth), where the
+// generator's own instance has b = 1.
+Database QbarDatabaseWithBFour() {
+  RandomDatabaseParams dp;
+  dp.domain = 2;
+  dp.tuples_per_relation = 20;
+  dp.seed = 1;
+  return MakeRandomDatabase(MakeQbarh2(3), dp);
+}
+
+// ExecutePlan under a trace; returns how many #b data steps it ran.
+std::size_t DataStepsOf(const CountingPlan& plan, const Database& db,
+                        CountResult* result) {
+  Trace trace;
+  {
+    TraceScope scope(&trace);
+    *result = ExecutePlan(plan, db);
+  }
+  trace.Finish();
+  return CountSpans(trace.root(), "sharp_b_search");
+}
+
+TEST(SharpBMemoTest, WarmCountOverColumnarDataRunsNoDataStep) {
+  const ConjunctiveQuery q = MakeQbarh2(4);
+  const Database db = ColumnarCopy(MakeQbarh2Database(4, 6));
+  CountingEngine engine;
+  Trace cold_trace;
+  const CountResult cold =
+      engine.Count(q, db, PlannerOptions{}, nullptr, &cold_trace);
+  EXPECT_EQ(CountSpans(cold_trace.root(), "sharp_b_search"), 1u);
+  for (int i = 0; i < 3; ++i) {
+    Trace warm_trace;
+    const CountResult warm =
+        engine.Count(q, db, PlannerOptions{}, nullptr, &warm_trace);
+    EXPECT_TRUE(warm.cache_hit);
+    EXPECT_EQ(CountSpans(warm_trace.root(), "sharp_b_search"), 0u);
+    EXPECT_EQ(warm.count, cold.count);
+    EXPECT_EQ(warm.method, cold.method);  // the same k and b
+  }
+  EXPECT_EQ(cold.method, "#b-hypertree(k=2,b=1)");
+  EXPECT_EQ(cold.count, CountByBacktracking(q, db));
+}
+
+TEST(SharpBMemoTest, NewTablesRunTheDataStepOnceAndRowMajorDataEveryTime) {
+  const ConjunctiveQuery q = MakeQbarh2(3);
+  const Database b_one = ColumnarCopy(MakeQbarh2Database(3, 4));
+  const Database b_four = ColumnarCopy(QbarDatabaseWithBFour());
+  const CountingPlan plan = MakePlan(q);
+  ASSERT_EQ(plan.strategy, PlanStrategy::kSharpB);
+  EXPECT_TRUE(plan.sharp_b_memo.empty());
+
+  CountResult result;
+  EXPECT_EQ(DataStepsOf(plan, b_one, &result), 1u);
+  EXPECT_EQ(result.method, "#b-hypertree(k=2,b=1)");
+  EXPECT_EQ(result.count, CountByBacktracking(q, b_one));
+  EXPECT_EQ(DataStepsOf(plan, b_one, &result), 0u);
+  EXPECT_FALSE(plan.sharp_b_memo.empty());
+
+  // Other tables: one data step, which replaces the memo's one outcome.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(DataStepsOf(plan, b_four, &result), i == 0 ? 1u : 0u);
+    EXPECT_EQ(result.method, "#b-hypertree(k=2,b=4)");
+    EXPECT_EQ(result.count, CountByBacktracking(q, b_four));
+  }
+  EXPECT_EQ(DataStepsOf(plan, b_one, &result), 1u);
+  EXPECT_EQ(result.method, "#b-hypertree(k=2,b=1)");
+
+  // A copy of the database shares its tables, so it shares the outcome.
+  const Database copy = b_one;
+  EXPECT_EQ(DataStepsOf(plan, copy, &result), 0u);
+
+  // Row-major relations have no identity to key on: every count runs it.
+  const Database row_major = QbarDatabaseWithBFour();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(DataStepsOf(plan, row_major, &result), 1u);
+    EXPECT_EQ(result.method, "#b-hypertree(k=2,b=4)");
+    EXPECT_EQ(result.count, CountByBacktracking(q, row_major));
+  }
+}
+
+TEST(SharpBMemoTest, NoCandidateWithinTheCapIsMemoizedToo) {
+  // hybrid_max_b = 1 rejects every candidate of b_four at widths 2 and 3:
+  // the outcome "none" is kept, so the backtracking fallback does not
+  // search again either.
+  const ConjunctiveQuery q = MakeQbarh2(3);
+  const Database db = ColumnarCopy(QbarDatabaseWithBFour());
+  PlannerOptions options;
+  options.hybrid_max_b = 1;
+  const CountingPlan plan = MakePlan(q, options);
+  ASSERT_EQ(plan.strategy, PlanStrategy::kSharpB);
+  CountResult result;
+  EXPECT_EQ(DataStepsOf(plan, db, &result), plan.sharp_b.size());
+  EXPECT_EQ(result.method, "backtracking");
+  EXPECT_EQ(DataStepsOf(plan, db, &result), 0u);
+  EXPECT_EQ(result.method, "backtracking");
+  EXPECT_EQ(result.count, CountByBacktracking(q, db));
+}
+
+TEST(SharpBMemoTest, InterruptedDataStepLeavesTheSlotEmpty) {
+  const ConjunctiveQuery q = MakeQbarh2(3);
+  const Database db = ColumnarCopy(QbarDatabaseWithBFour());
+  const CountingPlan plan = MakePlan(q);
+  ASSERT_EQ(plan.strategy, PlanStrategy::kSharpB);
+  // A one-byte budget refuses the first allocation of the data step, the
+  // join of a guard view.
+  MemoryBudget budget(1);
+  ExecPolicy policy;
+  policy.query_memory = &budget;
+  Trace trace;
+  bool refused = false;
+  {
+    TraceScope trace_scope(&trace);
+    ExecScope scope(std::move(policy));
+    try {
+      ExecutePlan(plan, db);
+    } catch (const ExecResourceExhausted&) {
+      refused = true;
+    }
+  }
+  trace.Finish();
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(CountSpans(trace.root(), "sharp_b_search"), 1u);
+  EXPECT_TRUE(plan.sharp_b_memo.empty());
+
+  CountResult result;
+  EXPECT_EQ(DataStepsOf(plan, db, &result), 1u);
+  EXPECT_EQ(result.method, "#b-hypertree(k=2,b=4)");
+  EXPECT_EQ(result.count, CountByBacktracking(q, db));
+  EXPECT_FALSE(plan.sharp_b_memo.empty());
+}
+
+TEST(SharpBMemoTest, BatchOfIdenticalCountsAgrees) {
+  // Every job shares one plan and races on its memo slot.
+  const ConjunctiveQuery q = MakeQbarh2(3);
+  const Database db = ColumnarCopy(QbarDatabaseWithBFour());
+  const CountInt expected = CountByBacktracking(q, db);
+  EngineOptions options;
+  options.batch_threads = 4;
+  CountingEngine engine(options);
+  const std::vector<CountJob> jobs(16, CountJob{q, &db});
+  for (const CountResult& result : engine.CountBatch(jobs)) {
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.count, expected);
+    EXPECT_EQ(result.method, "#b-hypertree(k=2,b=4)");
+  }
 }
 
 TEST(PlanCacheTest, CanonicalizedVariantsHitTheCache) {
@@ -405,6 +535,40 @@ TEST(ExecutorTest, Ps13SharpRelationsAreChargedToTheQueryBudget) {
   const CountResult next = unbudgeted.Count(q, db, ps13);
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.count, CountInt{1} << h);
+}
+
+TEST(ExecutorTest, WarmQh2CountBuildsNoIndexOnItsStoredTables) {
+  const int h = 12;
+  const ConjunctiveQuery q = MakeQh2(h);
+  const Database db = ColumnarCopy(MakeQh2Database(h));
+  const PlannerOptions ps13 = *PlannerOptionsForStrategy("ps13");
+  CountingEngine engine;
+  ASSERT_EQ(engine.Count(q, db, ps13).count, CountInt{1} << h);
+
+  // The tables the plan's atoms read: stored tables, and for s, whose
+  // variable order permutes the stored columns, the stored table's alias.
+  const ConjunctiveQuery& planned = engine.Plan(q, ps13).plan->query;
+  auto cached_indexes = [&] {
+    std::vector<std::size_t> counts;
+    for (const Atom& atom : planned.atoms()) {
+      counts.push_back(AtomToRel(atom, db).table()->CachedIndexCount());
+    }
+    return counts;
+  };
+  const std::vector<std::size_t> cold = cached_indexes();
+  const Atom* s_atom = nullptr;
+  for (const Atom& atom : planned.atoms()) {
+    if (atom.relation == "s") s_atom = &atom;
+  }
+  ASSERT_NE(s_atom, nullptr);
+  const Rel s_rel = AtomToRel(*s_atom, db);
+  EXPECT_NE(s_rel.table(), db.ColumnarBacking("s"));
+  EXPECT_GT(s_rel.table()->CachedIndexCount(), 0u);
+
+  const CountResult warm = engine.Count(q, db, ps13);
+  EXPECT_EQ(warm.method, "acyclic-ps13");
+  EXPECT_EQ(warm.count, CountInt{1} << h);
+  EXPECT_EQ(cached_indexes(), cold);
 }
 
 TEST(ExecutorTest, EngineCountsHybridFamilyViaSharpB) {

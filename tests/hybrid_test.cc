@@ -6,9 +6,11 @@
 #include "hybrid/degree.h"
 #include "hybrid/degree_counting.h"
 #include "hybrid/hybrid_counting.h"
+#include "hybrid/min_degree_search.h"
 #include "hybrid/optimal_decomp.h"
 #include "hybrid/sharp_b.h"
 #include "tests/test_util.h"
+#include "util/trace.h"
 
 namespace sharpcq {
 namespace {
@@ -223,10 +225,52 @@ TEST(SharpBTest, AgreesWithBruteForceOnRandomInstances) {
 
 // --- the #b search split into its query-only and data halves -----------------
 
-// Runs the #b search at widths 2..max_width both ways: the standalone
-// search, and the data step over candidates collected up front (what a
-// plan stores). Both must pick the same S-bar, b, tree and count at the
-// first width that succeeds, which is returned (0 when none does).
+// The data step as it ran with one DegreeOracle per core, each joining its
+// guard views anew: the reference for the shared oracle. Adds the views
+// the fresh oracles joined to *views_joined.
+std::optional<SharpBDecomposition> PerCoreOracleDataStep(
+    const ConjunctiveQuery& q, const Database& db,
+    const SharpBCandidates& width, std::size_t max_b,
+    std::size_t* views_joined) {
+  std::optional<SharpBDecomposition> best;
+  for (const SharpBCandidate& candidate : width.candidates) {
+    const std::size_t cap = best.has_value() ? best->bound - 1 : max_b;
+    for (const SharpBCore& c : candidate.cores) {
+      DegreeOracle oracle(width.views, q, db, q.free_vars());
+      std::optional<MinDegreeResult> found = FindMinDegreeTreeProjection(
+          c.cover, c.existence, candidate.s_bar, cap, &oracle);
+      *views_joined += oracle.views_joined();
+      if (!found.has_value()) continue;
+      const std::size_t bound = std::max<std::size_t>(found->bound, 1);
+      if (!best.has_value() || bound < best->bound) {
+        SharpDecomposition d{c.core, std::move(found->tree), width.views, 0};
+        d.width = d.tree.Width(width.views);
+        best = SharpBDecomposition{candidate.s_bar, std::move(d), bound};
+      }
+      break;
+    }
+    if (best.has_value() && best->bound <= 1) break;
+  }
+  return best;
+}
+
+void ExpectSameDecomposition(const SharpBDecomposition& a,
+                             const SharpBDecomposition& b) {
+  EXPECT_EQ(a.s_bar, b.s_bar);
+  EXPECT_EQ(a.bound, b.bound);
+  EXPECT_EQ(a.decomposition.core.atoms(), b.decomposition.core.atoms());
+  EXPECT_EQ(a.decomposition.core.free_vars(),
+            b.decomposition.core.free_vars());
+  EXPECT_EQ(a.decomposition.width, b.decomposition.width);
+  EXPECT_EQ(a.decomposition.tree.bags, b.decomposition.tree.bags);
+  EXPECT_EQ(a.decomposition.tree.view_ids, b.decomposition.tree.view_ids);
+}
+
+// Runs the #b search at widths 2..max_width three ways: the standalone
+// search, the data step over candidates collected up front (what a plan
+// stores), and that step with a fresh oracle per core. All must pick the
+// same S-bar, core, b, tree and count at the first width that succeeds,
+// which is returned (0 when none does).
 int ExpectStoredCandidatesMatchStandalone(const ConjunctiveQuery& q,
                                           const Database& db,
                                           const SharpBOptions& options,
@@ -240,13 +284,14 @@ int ExpectStoredCandidatesMatchStandalone(const ConjunctiveQuery& q,
     EXPECT_EQ(candidates.k, k);
     std::optional<SharpBDecomposition> stored =
         FindSharpBDecomposition(q, db, candidates, options.max_b);
+    std::size_t views_joined = 0;
+    std::optional<SharpBDecomposition> per_core = PerCoreOracleDataStep(
+        q, db, candidates, options.max_b, &views_joined);
     EXPECT_EQ(stored.has_value(), standalone.has_value());
+    EXPECT_EQ(stored.has_value(), per_core.has_value());
     if (!stored.has_value() || !standalone.has_value()) continue;
-    EXPECT_EQ(stored->s_bar, standalone->s_bar);
-    EXPECT_EQ(stored->bound, standalone->bound);
-    EXPECT_EQ(stored->decomposition.width, standalone->decomposition.width);
-    EXPECT_EQ(stored->decomposition.tree.bags,
-              standalone->decomposition.tree.bags);
+    ExpectSameDecomposition(*stored, *standalone);
+    if (per_core.has_value()) ExpectSameDecomposition(*stored, *per_core);
     EXPECT_EQ(CountViaSharpB(q, db, *stored).count,
               CountViaSharpB(q, db, *standalone).count);
     return k;
@@ -320,6 +365,43 @@ TEST(SharpBSplitTest, FiniteBoundCapForcesWidthThree) {
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->bound, 2u);
   EXPECT_EQ(CountViaSharpB(q, db, *d).count, CountByBacktracking(q, db));
+}
+
+TEST(SharpBSplitTest, SharedOracleJoinsEachGuardViewOncePerWidth) {
+  // The data of FiniteBoundCapForcesWidthThree: b = 4 at width 2, so the
+  // step never stops early and tries every candidate.
+  ConjunctiveQuery q = MakeQbarh2(3);
+  RandomDatabaseParams dp;
+  dp.domain = 2;
+  dp.tuples_per_relation = 20;
+  dp.seed = 1;
+  Database db = MakeRandomDatabase(q, dp);
+  SharpBCandidates candidates = CollectSharpBCandidates(q, 2, {});
+  ASSERT_GT(candidates.candidates.size(), 1u);
+  Trace trace;
+  std::optional<SharpBDecomposition> shared;
+  {
+    TraceScope scope(&trace);
+    shared = FindSharpBDecomposition(q, db, candidates, SIZE_MAX);
+  }
+  trace.Finish();
+  ASSERT_TRUE(shared.has_value());
+  EXPECT_EQ(shared->bound, 4u);
+  std::vector<const TraceNode*> searches;
+  CollectSpans(trace.root(), "sharp_b_search", &searches);
+  ASSERT_EQ(searches.size(), 1u);
+  const std::size_t joined = std::stoul(NoteOf(*searches[0], "views_joined"));
+  EXPECT_GT(joined, 0u);
+  EXPECT_LE(joined, candidates.views.size());
+
+  // A fresh oracle per core joins the same views again and again, and
+  // chooses the same decomposition.
+  std::size_t per_core_joined = 0;
+  std::optional<SharpBDecomposition> per_core = PerCoreOracleDataStep(
+      q, db, candidates, SIZE_MAX, &per_core_joined);
+  ASSERT_TRUE(per_core.has_value());
+  ExpectSameDecomposition(*shared, *per_core);
+  EXPECT_GT(per_core_joined, joined);
 }
 
 TEST(SharpBSplitTest, CandidatesDependOnTheQueryAlone) {

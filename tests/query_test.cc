@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "algebra/exec_policy.h"
+#include "algebra/table.h"
 #include "data/database.h"
 #include "gen/paper_queries.h"
 #include "query/atom_relation.h"
@@ -210,6 +212,50 @@ TEST(AtomRelationTest, ProjectionDedups) {
   q2.AddAtom("r", {Term::Var(x2), Term::Const(7)});
   EXPECT_EQ(AtomToVarRelation(q.atoms()[0], db).size(), 2u);
   EXPECT_EQ(AtomToVarRelation(q2.atoms()[0], db).size(), 1u);
+}
+
+TEST(AtomRelationTest, PermutedColumnarAtomReusesOneAlias) {
+  // r has one morsel of rows: (i, i + 1).
+  Database raw;
+  for (Value i = 0; i < static_cast<Value>(kDefaultMorselRows); ++i) {
+    raw.AddTuple("r", {i, i + 1});
+  }
+  // Y is interned first, so the output columns (ascending id) are (Y, X):
+  // a permutation of r's stored columns.
+  ConjunctiveQuery q;
+  VarId y = q.InternVar("Y");
+  VarId x = q.InternVar("X");
+  q.AddAtom("r", {Term::Var(x), Term::Var(y)});
+
+  const Database db = ColumnarCopy(raw);
+  const std::shared_ptr<const Table> stored = db.ColumnarBacking("r");
+  const Rel first = AtomToRel(q.atoms()[0], db);
+  const Rel second = AtomToRel(q.atoms()[0], db);
+  EXPECT_NE(first.table(), stored);
+  EXPECT_EQ(first.table(), second.table());
+  EXPECT_EQ(first.table()->Column(0).data(), stored->Column(1).data());
+  EXPECT_TRUE(first.table()->ContainsRow(std::vector<Value>{2, 1}));
+  EXPECT_FALSE(first.table()->ContainsRow(std::vector<Value>{1, 2}));
+  // Its indexes are the stored table's, on the mapped columns.
+  EXPECT_EQ(first.table()->IndexOn({0}), stored->IndexOn({1}));
+  EXPECT_EQ(first.table()->CachedIndexCount(), stored->CachedIndexCount());
+
+  // The alias keeps its stored table alive past the database.
+  Rel kept = [&] {
+    const Database local = ColumnarCopy(raw);
+    return AtomToRel(q.atoms()[0], local);
+  }();
+  EXPECT_TRUE(kept.table()->ContainsRow(std::vector<Value>{4, 3}));
+
+  // A smaller table gets a fresh alias with its own indexes every time.
+  Database small_raw;
+  small_raw.AddTuple("r", {1, 2});
+  const Database small = ColumnarCopy(small_raw);
+  const Rel a = AtomToRel(q.atoms()[0], small);
+  const Rel b = AtomToRel(q.atoms()[0], small);
+  EXPECT_NE(a.table(), b.table());
+  EXPECT_TRUE(a.table()->ContainsRow(std::vector<Value>{2, 1}));
+  EXPECT_EQ(small.ColumnarBacking("r")->CachedIndexCount(), 0u);
 }
 
 }  // namespace

@@ -783,12 +783,14 @@ TEST(ClientRetryTest, MidCallFailureRetriesCountButNeverIngest) {
 TEST(ClientRetryTest, RetryAgainstRealDaemonAfterInjectedDrop) {
   ScopedFailpoints scoped;
   DaemonFixture fixture;
-  Client client = fixture.Connect();
-  // The daemon drops exactly one request read; the retry succeeds.
+  // The daemon drops exactly one request read; the retry succeeds. Armed
+  // before connecting: the connection thread checks the failpoint before
+  // it blocks in recv, so arming later could miss the first request.
   failpoint::Trigger trigger;
   trigger.action = FailpointAction::kError;
   trigger.fire_count = 1;
   failpoint::Arm("daemon.recv", trigger);
+  Client client = fixture.Connect();
   std::string error;
   int attempts = 0;
   auto response = client.CallWithRetry(CountRequest("demo", kSmallQuery),

@@ -32,6 +32,20 @@ namespace {
 
 using std::chrono::steady_clock;
 
+// Sanitized builds run several times slower, so tight latency bounds hold
+// only without them.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
 std::string MakeScratchDir() {
   std::string tmpl = ::testing::TempDir() + "sharpcqd_XXXXXX";
   std::vector<char> buf(tmpl.begin(), tmpl.end());
@@ -236,6 +250,25 @@ TEST(EngineCancelTest, DeadlineExpiryMidBacktrackingReturnsDeadlineExceeded) {
       engine.Count(Parse(kSlowQuery), small, *planner, nullptr);
   EXPECT_TRUE(full.ok());
   EXPECT_EQ(full.count, CountInt{2});  // 1-2-1-2 and 2-1-2-1
+}
+
+TEST(EngineCancelTest, BacktrackingDeadlineOvershootIsBoundedByRowsScanned) {
+  // The backtracking counter polls its token per rows scanned, so a 20 ms
+  // deadline stops the slow count within one poll interval of work. One
+  // search node can scan whole relations, so polling per node could not
+  // bound this.
+  Database db = MakeSlowDatabase();
+  CountingEngine engine;
+  auto planner = PlannerOptionsForStrategy("backtracking",
+                                           engine.options().planner);
+  ASSERT_TRUE(planner.has_value());
+  CancelToken token;
+  token.SetDeadlineAfter(std::chrono::milliseconds(20));
+  auto start = steady_clock::now();
+  CountResult result = engine.Count(Parse(kSlowQuery), db, *planner, &token);
+  double elapsed_ms = MsSince(start);
+  EXPECT_EQ(result.status, CountStatus::kDeadlineExceeded);
+  if (!kSanitized) EXPECT_LT(elapsed_ms, 50.0);
 }
 
 TEST(EngineCancelTest, DeadlineBoundsAPlanMiss) {

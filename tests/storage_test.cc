@@ -27,6 +27,8 @@
 #include "storage/catalog.h"
 #include "storage/mem_map.h"
 #include "storage/snapshot.h"
+#include "tests/test_util.h"
+#include "util/trace.h"
 
 namespace sharpcq {
 namespace {
@@ -619,6 +621,49 @@ TEST(CatalogTest, GenerationSwapKeepsOldEntryServableAndPlanCacheWarm) {
 
   EXPECT_EQ(catalog.ListDatabases(), std::vector<std::string>{"g"});
   EXPECT_EQ(catalog.CurrentGeneration("g", &error), 3u);
+}
+
+TEST(CatalogTest, IngestThatChangesBRunsTheSharpBDataStepOnce) {
+  const std::string root = MakeScratchDir() + "/catalog";
+  Catalog catalog(root);
+  Status error;
+  const ConjunctiveQuery q = MakeQbarh2(3);
+  // Counts q over the current generation; returns the #b data steps run.
+  auto count = [&](CountResult* result) -> std::size_t {
+    auto entry = catalog.Open("qbar", &error);
+    EXPECT_NE(entry, nullptr) << error;
+    Trace trace;
+    *result = entry->engine->Count(
+        q, *entry->db, entry->engine->options().planner, nullptr, &trace);
+    EXPECT_TRUE(result->ok());
+    EXPECT_EQ(result->count, CountByBacktracking(q, *entry->db));
+    return CountSpans(trace.root(), "sharp_b_search");
+  };
+
+  // Generation 1: the generator's instance, b = 1.
+  ASSERT_TRUE(catalog.Ingest("qbar", MakeQbarh2Database(3, 4), nullptr, &error)
+                  .has_value())
+      << error;
+  CountResult result;
+  EXPECT_EQ(count(&result), 1u);
+  EXPECT_EQ(result.method, "#b-hypertree(k=2,b=1)");
+  EXPECT_EQ(count(&result), 0u);
+  EXPECT_TRUE(result.cache_hit);
+
+  // Generation 2: random data whose best width-2 decomposition has b = 4.
+  RandomDatabaseParams dp;
+  dp.domain = 2;
+  dp.tuples_per_relation = 20;
+  dp.seed = 1;
+  ASSERT_TRUE(
+      catalog.Ingest("qbar", MakeRandomDatabase(q, dp), nullptr, &error)
+          .has_value())
+      << error;
+  EXPECT_EQ(count(&result), 1u);
+  EXPECT_EQ(result.method, "#b-hypertree(k=2,b=4)");
+  EXPECT_EQ(count(&result), 0u);
+  EXPECT_EQ(result.method, "#b-hypertree(k=2,b=4)");
+  EXPECT_TRUE(result.cache_hit);
 }
 
 TEST(CatalogTest, MalformedManifestFailsIngestInsteadOfResetting) {

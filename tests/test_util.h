@@ -4,12 +4,14 @@
 #include <algorithm>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algebra/table.h"
 #include "data/database.h"
 #include "query/conjunctive_query.h"
 #include "util/id_set.h"
+#include "util/trace.h"
 
 namespace sharpcq {
 
@@ -44,6 +46,39 @@ inline Database ColumnarCopy(const Database& db) {
     out.AdoptColumnar(name, std::move(builder).Build());
   }
   return out;
+}
+
+// The first direct child of `node` named `name`, or null.
+inline const TraceNode* FindChild(const TraceNode& node,
+                                  std::string_view name) {
+  for (const auto& child : node.children) {
+    if (child->name == name) return child.get();
+  }
+  return nullptr;
+}
+
+// Every span named `name` in the subtree below `node`.
+inline void CollectSpans(const TraceNode& node, std::string_view name,
+                         std::vector<const TraceNode*>* out) {
+  for (const auto& child : node.children) {
+    if (child->name == name) out->push_back(child.get());
+    CollectSpans(*child, name, out);
+  }
+}
+
+// The number of spans named `name` in the subtree below `node`.
+inline std::size_t CountSpans(const TraceNode& node, std::string_view name) {
+  std::vector<const TraceNode*> spans;
+  CollectSpans(node, name, &spans);
+  return spans.size();
+}
+
+// The value of `node`'s note `key`, or "" when it has none.
+inline std::string NoteOf(const TraceNode& node, std::string_view key) {
+  for (const auto& [k, v] : node.notes) {
+    if (k == key) return v;
+  }
+  return "";
 }
 
 }  // namespace sharpcq
