@@ -23,10 +23,8 @@
 //   - BM_SemijoinProbe_MissHeavy_{Pr5,Filtered}  semijoin probes where 95%
 //     of probe keys are absent from an out-of-L2 build side (the
 //     reduced-relation fixpoint shape). CI gates Pr5 >= 1.5x Filtered time;
-//   - BM_IndexBuild_OutOfCache_{Streaming,Radix} index construction on a
-//     build side whose slot arrays dwarf L2: the streaming insert strides
-//     the whole table, the radix build partitions rows so each partition's
-//     slot span stays cache-resident.
+//   - BM_IndexBuild_OutOfCache_Streaming  index construction on a build
+//     side whose slot arrays dwarf L2.
 //
 // The ISSUE-9 observability additions rerun two of the above with
 // process-wide metrics disabled, isolating the cost of the block-flushed
@@ -551,7 +549,7 @@ BENCHMARK(BM_SemijoinProbe_MissHeavy_FilteredMetricsOff);
 // Out-of-cache build side: ~330k distinct 2-column keys put the slot
 // arrays (1M slots x 13 bytes) far past L2. Each iteration constructs the
 // index directly — the table itself is built once — so the measurement is
-// the insert pass, streaming vs radix-partitioned.
+// the insert pass.
 std::shared_ptr<const Table> MakeOutOfCacheBuildTable() {
   std::mt19937_64 rng(515151);
   std::uniform_int_distribution<Value> value(0, 999);
@@ -566,34 +564,16 @@ std::shared_ptr<const Table> MakeOutOfCacheBuildTable() {
 
 void BM_IndexBuild_OutOfCache_Streaming(benchmark::State& state) {
   auto table = MakeOutOfCacheBuildTable();
-  TableIndex::SetRadixRowThresholdForTesting(
-      std::numeric_limits<std::size_t>::max());
   std::size_t groups = 0;
   for (auto _ : state) {
     TableIndex index(*table, {0, 1});
     groups = index.num_groups();
     benchmark::DoNotOptimize(groups);
   }
-  TableIndex::SetRadixRowThresholdForTesting(0);
   state.counters["rows"] = static_cast<double>(table->rows());
   state.counters["groups"] = static_cast<double>(groups);
 }
 BENCHMARK(BM_IndexBuild_OutOfCache_Streaming);
-
-void BM_IndexBuild_OutOfCache_Radix(benchmark::State& state) {
-  auto table = MakeOutOfCacheBuildTable();
-  TableIndex::SetRadixRowThresholdForTesting(1);
-  std::size_t groups = 0;
-  for (auto _ : state) {
-    TableIndex index(*table, {0, 1});
-    groups = index.num_groups();
-    benchmark::DoNotOptimize(groups);
-  }
-  TableIndex::SetRadixRowThresholdForTesting(0);
-  state.counters["rows"] = static_cast<double>(table->rows());
-  state.counters["groups"] = static_cast<double>(groups);
-}
-BENCHMARK(BM_IndexBuild_OutOfCache_Radix);
 
 // Both reducer benches ingest the chain once and enforce consistency on a
 // fresh vector of handles per iteration (Rel copies share tables, so the

@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "algebra/stats.h"
-#include "util/cpu.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
 #include "util/metrics.h"
@@ -34,9 +33,6 @@ std::uint64_t HashedWordOf(std::span<const Value> key) {
   if (bits > 0 && bits < 64) word &= (std::uint64_t{1} << bits) - 1;
   return word;
 }
-
-// Test-only override of the radix build threshold (0 = L2-derived).
-std::atomic<std::size_t> radix_threshold_override{0};
 
 // Chooses the packing for `key_columns` of `table`: single-column keys pass
 // the value through; multi-column keys bit-pack when the per-column ranges
@@ -135,25 +131,6 @@ void TableIndex::SetHashedWordBitsForTesting(int bits) {
   hashed_word_bits.store(bits, std::memory_order_relaxed);
 }
 
-std::size_t TableIndex::RadixRowThreshold() {
-  const std::size_t forced =
-      radix_threshold_override.load(std::memory_order_relaxed);
-  if (forced != 0) return forced;
-  // Partitioning pays for itself only once the slot arrays overflow the
-  // LAST-level cache: below that, streaming inserts miss L2 but the LLC
-  // absorbs them at a cost smaller than the radix build's extra scatter and
-  // renumber passes (measured ~1.4x slower at LLC-resident sizes). The slot
-  // arrays cost 13 bytes per slot and capacity is the first power of two
-  // above 2n, so 26n bytes is their floor; LLC/13 rows puts the working set
-  // at >= 2x the LLC, comfortably into the DRAM regime. The per-partition
-  // span is sized from L2 separately (RadixBuild).
-  return std::max<std::size_t>(65536, LastLevelCacheBytes() / 13);
-}
-
-void TableIndex::SetRadixRowThresholdForTesting(std::size_t rows) {
-  radix_threshold_override.store(rows, std::memory_order_relaxed);
-}
-
 std::uint64_t TableIndex::HashWord(std::uint64_t word) {
   return HashMix(word);
 }
@@ -191,13 +168,7 @@ TableIndex::TableIndex(const Table& table, std::vector<int> key_columns)
   std::vector<std::uint32_t> first_row;
   first_row.reserve(n);
 
-  if (n > 0) {
-    if (n >= RadixRowThreshold()) {
-      RadixBuild(table, &group_of, &counts, &first_row);
-    } else {
-      StreamingBuild(table, &group_of, &counts, &first_row);
-    }
-  }
+  if (n > 0) StreamingBuild(table, &group_of, &counts, &first_row);
 
   // Exact packings never compare key values during the build, so the flat
   // key buffer is gathered here in one pass, after the group numbering is
@@ -294,132 +265,6 @@ void TableIndex::StreamingBuild(const Table& table,
       max_group_size_ = std::max(max_group_size_,
                                  static_cast<std::size_t>(++(*counts)[g]));
     }
-  }
-}
-
-void TableIndex::RadixBuild(const Table& table,
-                            std::vector<std::uint32_t>* group_of,
-                            std::vector<std::uint32_t>* counts,
-                            std::vector<std::uint32_t>* first_row) {
-  built_with_radix_ = true;
-  const std::size_t n = table.rows();
-  const std::span<const int> cols(key_columns_.data(), width_);
-
-  // Materialize all words and hashes, then partition rows by the top bits
-  // of their slot index. Rows of one partition land in one contiguous span
-  // of the slot arrays, so the insert pass walks the table partition by
-  // partition with its slot span cache-resident instead of striding the
-  // whole (out-of-cache) array. The scatter moves the words along with the
-  // row ids, so the insert pass streams both sequentially — its only
-  // scattered traffic is the partition's own slot span.
-  std::vector<std::uint64_t> words(n);
-  PackProbeWords(packing_, table, cols, 0, n, words.data());
-  std::vector<std::uint64_t> hashes(n);
-  HashWordsBatch(words.data(), n, hashes.data());
-
-  const std::size_t capacity = mask_ + 1;
-  const int cap_bits = std::countr_zero(capacity);
-  const std::size_t slot_bytes =
-      capacity * (sizeof(std::uint8_t) + sizeof(std::uint64_t) +
-                  sizeof(std::uint32_t));
-  const std::size_t target = std::max<std::size_t>(L2CacheBytes() / 2, 65536);
-  int pbits = 1;  // at least two partitions: the path is only taken when
-                  // the build is (or is forced) out of cache
-  while ((slot_bytes >> pbits) > target && pbits < 10) ++pbits;
-  if (pbits > cap_bits - 1) pbits = cap_bits - 1;
-  const std::size_t parts = std::size_t{1} << pbits;
-  const int part_shift = cap_bits - pbits;
-  auto part_of = [&](std::uint64_t hash) {
-    return (static_cast<std::size_t>(hash) & mask_) >> part_shift;
-  };
-
-  std::vector<std::uint32_t> part_counts(parts, 0);
-  for (std::size_t i = 0; i < n; ++i) ++part_counts[part_of(hashes[i])];
-  std::vector<std::uint32_t> part_start(parts, 0);
-  for (std::size_t p = 1; p < parts; ++p) {
-    part_start[p] = part_start[p - 1] + part_counts[p - 1];
-  }
-  std::vector<std::uint32_t> cursor = part_start;
-  std::vector<std::uint64_t> part_words(n);
-  const bool exact = packing_.exact();
-  std::vector<std::uint32_t> order;
-  if (!exact) order.resize(n);  // kHashed inserts gather keys by row id
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t c = cursor[part_of(hashes[i])]++;
-    part_words[c] = words[i];
-    if (!exact) order[c] = static_cast<std::uint32_t>(i);
-  }
-
-  // Insert in partition order. For exact packings the loop touches nothing
-  // but the sequential word stream and the partition's (cache-resident)
-  // slot span: keys are deferred to the ctor's bulk fill and group ids are
-  // written to a sequential per-partition-position array, not scattered to
-  // row order mid-loop (a random write stream would evict the slot span).
-  std::vector<std::uint32_t> part_group(n);
-  std::vector<Value> key(width_);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = exact ? std::size_t{0} : order[k];
-    const std::uint32_t g = InsertRow(table, i, part_words[k], &key, counts);
-    part_group[k] = g;
-    max_group_size_ = std::max(max_group_size_,
-                               static_cast<std::size_t>(++(*counts)[g]));
-  }
-
-  // Scatter group ids back to row order. The partition of row i is
-  // recomputed from its hash, so the pass reads hashes and writes group_of
-  // sequentially, consuming part_group through `parts` forward-moving
-  // cursors (the kHashed path reuses the explicit order array instead).
-  if (exact) {
-    std::vector<std::uint32_t> take = part_start;
-    for (std::size_t i = 0; i < n; ++i) {
-      (*group_of)[i] = part_group[take[part_of(hashes[i])]++];
-    }
-  } else {
-    for (std::size_t k = 0; k < n; ++k) (*group_of)[order[k]] = part_group[k];
-  }
-
-  // Canonicalize: renumber groups by first-occurrence row order, so the
-  // group structure (ids, key order, CSR layout) is byte-identical to the
-  // streaming build's. Only the physical slot placement may differ, and
-  // that is invisible through the API. One row-order scan settles the
-  // mapping, the remapped group_of, and each group's first row at once:
-  // all rows of a group share a word — hence a hash, hence a partition —
-  // and the scatter is stable, so the first row mentioning a group here is
-  // also the first row its partition inserted.
-  std::vector<std::uint32_t> old_to_new(num_groups_, kNoGroup);
-  first_row->resize(num_groups_);
-  std::uint32_t next = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t m = old_to_new[(*group_of)[i]];
-    if (m == kNoGroup) {
-      m = next;
-      old_to_new[(*group_of)[i]] = m;
-      (*first_row)[m] = static_cast<std::uint32_t>(i);
-      ++next;
-    }
-    (*group_of)[i] = m;
-  }
-
-  std::vector<std::uint64_t> new_words(num_groups_);
-  std::vector<std::uint32_t> new_counts(num_groups_);
-  for (std::uint32_t old = 0; old < num_groups_; ++old) {
-    const std::uint32_t g = old_to_new[old];
-    new_words[g] = group_words_[old];
-    new_counts[g] = (*counts)[old];
-  }
-  group_words_ = std::move(new_words);
-  *counts = std::move(new_counts);
-  if (!exact) {
-    std::vector<Value> new_keys(keys_.size());
-    for (std::uint32_t old = 0; old < num_groups_; ++old) {
-      std::copy(keys_.begin() + old * width_,
-                keys_.begin() + (old + 1) * width_,
-                new_keys.begin() + old_to_new[old] * width_);
-    }
-    keys_ = std::move(new_keys);
-  }
-  for (std::size_t h = 0; h < capacity; ++h) {
-    if (tags_[h] != 0) slots_[h] = old_to_new[slots_[h] - 1] + 1;
   }
 }
 

@@ -74,14 +74,6 @@ struct KeyPacking {
 // Every index also carries a MissFilter over its distinct key hashes
 // (algebra/miss_filter.h); the block probe driver consults it before the
 // slot walk, so miss-heavy probe loops skip the slot arrays entirely.
-//
-// Builds over RadixRowThreshold() rows (cache-derived, override below)
-// radix-partition their rows by slot-index prefix first, so each
-// partition's inserts touch an L2-resident span of the slot arrays instead
-// of striding the whole table. Group numbering is canonical either way:
-// groups are numbered by first occurrence in row order, so the radix and
-// streaming builds produce identical group structure (the differential
-// suite asserts this).
 class TableIndex {
  public:
   TableIndex(const Table& table, std::vector<int> key_columns);
@@ -183,18 +175,6 @@ class TableIndex {
     return filter_.MightContain(HashWord(word));
   }
 
-  // Whether this index was built through the radix-partitioned path.
-  bool built_with_radix() const { return built_with_radix_; }
-
-  // Builds at or above this many rows radix-partition. Derived from the
-  // cache hierarchy: engages where the slot arrays overflow the last-level
-  // cache (the regime where partitioning beats streaming); each partition's
-  // slot-array span is then sized to stay L2-resident.
-  static std::size_t RadixRowThreshold();
-  // Test hook: overrides the threshold (0 restores the cache-derived
-  // value). Not for production use.
-  static void SetRadixRowThresholdForTesting(std::size_t rows);
-
   // Test hook: masks kHashed words to the low `bits` bits (0 restores full
   // width) so word collisions between distinct keys become constructible.
   // The mask applies to hashed-word computation everywhere — index builds
@@ -272,18 +252,13 @@ class TableIndex {
                           std::uint64_t word, std::vector<Value>* key_scratch,
                           std::vector<std::uint32_t>* counts);
 
-  // Build paths: one streaming pass of fused pack+insert blocks, or the
-  // radix-partitioned variant for out-of-cache builds. Both leave
+  // The build: one streaming pass of fused pack+insert blocks. Leaves
   // group_of/counts describing a first-occurrence group numbering and
   // first_row holding each group's first row id (ascending), from which
   // the ctor bulk-gathers the key buffer for exact packings.
   void StreamingBuild(const Table& table, std::vector<std::uint32_t>* group_of,
                       std::vector<std::uint32_t>* counts,
                       std::vector<std::uint32_t>* first_row);
-  void RadixBuild(const Table& table, std::vector<std::uint32_t>* group_of,
-                  std::vector<std::uint32_t>* counts,
-                  std::vector<std::uint32_t>* first_row);
-
   std::vector<int> key_columns_;
   std::size_t width_ = 0;        // = key_columns_.size()
   KeyPacking packing_;
@@ -303,7 +278,6 @@ class TableIndex {
   std::vector<std::uint32_t> rows_;     //   rows_[offsets_[g]..offsets_[g+1])
   std::size_t max_group_size_ = 0;
   MissFilter filter_;
-  bool built_with_radix_ = false;
 };
 
 namespace probe_internal {

@@ -6,13 +6,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <utility>
+#include <vector>
 
 #include "data/csv.h"
 #include "engine/engine.h"
@@ -83,21 +84,14 @@ DaemonOptions ApplyMemoryBudgets(DaemonOptions options) {
   return options;
 }
 
-// RAII registration with the disconnect watcher.
-class DisconnectWatch {
- public:
-  DisconnectWatch(Daemon* daemon, void (Daemon::*watch)(int, CancelToken*),
-                  void (Daemon::*unwatch)(int), int fd, CancelToken* token)
-      : daemon_(daemon), unwatch_(unwatch), fd_(fd) {
-    (daemon_->*watch)(fd_, token);
-  }
-  ~DisconnectWatch() { (daemon_->*unwatch_)(fd_); }
+// Every DaemonStats field has a kDaemonCounters row (the one-source test
+// checks that the rows are distinct).
+static_assert(sizeof(DaemonStats) ==
+              std::size(kDaemonCounters) * sizeof(std::atomic<std::uint64_t>));
 
- private:
-  Daemon* daemon_;
-  void (Daemon::*unwatch_)(int);
-  int fd_;
-};
+void Bump(std::atomic<std::uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -156,27 +150,27 @@ void Daemon::Wait() {
 }
 
 void Daemon::Stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    // A second Stop still waits for the first to have joined; joining
-    // happens below only on the first call, so just signal waiters.
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mu_);
+  if (stopping_.exchange(true)) {
+    stop_cv_.wait(lock, [this] { return stopped_; });
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_requested_ = true;
-    stop_cv_.notify_all();
-    // Kick every open connection out of its blocking recv. The fds stay
-    // owned (and closed) by their connection threads.
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+  stop_requested_ = true;
+  stop_cv_.notify_all();
+  // Kick every open connection out of its blocking recv and cancel the
+  // count it executes. The fds stay owned (and closed) by their connection
+  // threads. A count that registers its token after this sweep sees
+  // stopping_ in SetExecuting and is cancelled there.
+  for (auto& [id, connection] : connections_) {
+    if (connection.finished) continue;
+    ::shutdown(connection.fd, SHUT_RDWR);
+    if (connection.executing != nullptr) connection.executing->Cancel();
   }
+  lock.unlock();
   {
-    // Cancel inflight executions directly; faster than waiting for the
-    // watcher to notice the shut-down sockets.
-    std::lock_guard<std::mutex> lock(watch_mu_);
-    for (auto& [fd, token] : watched_) token->Cancel();
+    // Taking the lock orders stopping_ before any admission waiter's next
+    // predicate check, so the notify below cannot be lost.
+    std::lock_guard<std::mutex> admission_lock(admission_mu_);
   }
   admission_cv_.notify_all();
   // The shutdown wakes the accept thread, which owns a copy of the fd; the
@@ -189,19 +183,19 @@ void Daemon::Stop() {
     listen_fd_ = -1;
   }
   if (watch_thread_.joinable()) watch_thread_.join();
-  std::vector<std::thread> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections.swap(connection_threads_);
+  // With the accept thread gone no entry is added or dropped; the entries
+  // stay until every connection thread has marked its own finished.
+  std::vector<std::thread> threads;
+  lock.lock();
+  for (auto& [id, connection] : connections_) {
+    threads.push_back(std::move(connection.thread));
   }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
-}
-
-DaemonStats Daemon::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  lock.unlock();
+  for (std::thread& thread : threads) thread.join();
+  lock.lock();
+  connections_.clear();
+  stopped_ = true;
+  stop_cv_.notify_all();
 }
 
 void Daemon::AcceptLoop(int listen_fd) {
@@ -211,6 +205,7 @@ void Daemon::AcceptLoop(int listen_fd) {
       if (errno == EINTR) continue;
       return;  // listener closed by Stop (or fatal; either way, stop)
     }
+    ReapFinished();
     if (stopping_.load()) {
       ::close(fd);
       return;
@@ -223,37 +218,59 @@ void Daemon::AcceptLoop(int listen_fd) {
     // can couple small frames to the peer's delayed ACK.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    Bump(stats_.connections_accepted);
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.connections_accepted;
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    const std::uint64_t id = next_connection_id_++;
+    Connection& connection = connections_[id];
+    connection.fd = fd;
+    try {
+      connection.thread =
+          std::thread([this, id, fd] { ServeConnection(id, fd); });
+    } catch (const std::system_error&) {
+      // Out of threads: drop this connection, keep serving the others.
+      connections_.erase(id);
+      ::close(fd);
+    }
   }
+}
+
+void Daemon::ReapFinished() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->second.finished) {
+        finished.push_back(std::move(it->second.thread));
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (std::thread& thread : finished) thread.join();
 }
 
 void Daemon::WatchLoop() {
-  while (!stopping_.load()) {
-    {
-      std::lock_guard<std::mutex> lock(watch_mu_);
-      for (auto& [fd, token] : watched_) {
-        // The protocol is request-response, so a well-behaved client sends
-        // nothing while its request executes; readable data here is either
-        // EOF (client gone — cancel) or junk (ignored, the connection loop
-        // deals with it after the response).
-        char byte;
-        ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-        if (n == 0) {
-          token->Cancel();
-        } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                   errno != EINTR) {
-          token->Cancel();
-        }
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!stop_cv_.wait_for(lock, options_.watch_interval,
+                            [this] { return stopping_.load(); })) {
+    for (auto& [id, connection] : connections_) {
+      if (connection.executing == nullptr) continue;
+      // The protocol is request-response, so a well-behaved client sends
+      // nothing while its request executes; readable data here is either
+      // EOF (client gone — cancel) or junk (ignored, the connection loop
+      // deals with it after the response).
+      char byte;
+      ssize_t n = ::recv(connection.fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+      if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                     errno != EINTR)) {
+        connection.executing->Cancel();
       }
     }
-    std::this_thread::sleep_for(options_.watch_interval);
   }
 }
 
-void Daemon::ServeConnection(int fd) {
+void Daemon::ServeConnection(std::uint64_t id, int fd) {
   for (;;) {
     std::string payload;
     std::string error;
@@ -262,11 +279,8 @@ void Daemon::ServeConnection(int fd) {
         RecvFrame(fd, options_.max_frame_bytes, &payload, &error);
     if (status == FrameStatus::kClosed || status == FrameStatus::kError) break;
     if (status == FrameStatus::kTooLarge) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.frames_too_large;
-        ++stats_.responses_error;
-      }
+      Bump(stats_.frames_too_large);
+      Bump(stats_.responses_error);
       // The oversized payload was never read, so the stream cannot be
       // resynchronized: answer and drop the connection.
       SendFrame(fd, SerializeResponse(
@@ -275,29 +289,21 @@ void Daemon::ServeConnection(int fd) {
       break;
     }
 
+    Bump(stats_.requests);
     Response response;
     std::optional<Request> request = ParseRequest(payload, &error);
     bool is_shutdown = false;
     if (!request.has_value()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.requests;
-      ++stats_.malformed_requests;
+      Bump(stats_.malformed_requests);
       response = ErrorResponse(wire::kBadRequest, error);
     } else {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.requests;
-      }
       is_shutdown = request->command == "shutdown";
-      response = Dispatch(*request, fd);
+      response = Dispatch(*request, id);
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (response.ok) {
-        ++stats_.responses_ok;
-      } else {
-        ++stats_.responses_error;
-      }
+    if (response.ok) {
+      Bump(stats_.responses_ok);
+    } else {
+      Bump(stats_.responses_error);
     }
     if (SHARPCQ_FAILPOINT("daemon.send") != FailpointAction::kNone) break;
     if (!SendFrame(fd, SerializeResponse(response), &error)) break;
@@ -311,23 +317,21 @@ void Daemon::ServeConnection(int fd) {
     }
   }
   {
+    // Once finished, Stop() no longer touches the fd, so closing it below
+    // cannot race a shutdown of a recycled fd number.
     std::lock_guard<std::mutex> lock(mu_);
-    connection_fds_.erase(
-        std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
-        connection_fds_.end());
+    connections_.at(id).finished = true;
   }
   ::close(fd);
 }
 
-Response Daemon::Dispatch(const Request& request, int fd) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (request.command == "count") ++stats_.cmd_count;
-    else if (request.command == "ingest") ++stats_.cmd_ingest;
-    else if (request.command == "status") ++stats_.cmd_status;
-    else if (request.command == "inspect") ++stats_.cmd_inspect;
-    else if (request.command == "metrics") ++stats_.cmd_metrics;
-    else if (request.command == "shutdown") ++stats_.cmd_shutdown;
+Response Daemon::Dispatch(const Request& request, std::uint64_t connection) {
+  for (const DaemonCounter& counter : kDaemonCounters) {
+    const std::string_view key = counter.status_key;
+    if (key.starts_with("cmd_") && key.substr(4) == request.command) {
+      Bump(stats_.*counter.field);
+      break;
+    }
   }
   // status/inspect/metrics/shutdown bypass admission: health checks and
   // scrapes must answer even when every count slot is busy.
@@ -340,8 +344,7 @@ Response Daemon::Dispatch(const Request& request, int fd) {
       if (stopping_.load()) {
         return ErrorResponse(wire::kShuttingDown, "daemon is shutting down");
       }
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected_overload;
+      Bump(stats_.rejected_overload);
       return ErrorResponse(
           wire::kOverloaded,
           "admission queue full (" + std::to_string(options_.max_inflight) +
@@ -349,8 +352,9 @@ Response Daemon::Dispatch(const Request& request, int fd) {
               " queued)");
     }
     const MonotonicClock::time_point start = MonotonicNow();
-    Response response = request.command == "count" ? HandleCount(request, fd)
-                                                   : HandleIngest(request);
+    Response response = request.command == "count"
+                            ? HandleCount(request, connection)
+                            : HandleIngest(request);
     LeaveAdmission();
     (request.command == "count" ? count_latency_ : ingest_latency_)
         .Record(ElapsedMs(start));
@@ -377,6 +381,11 @@ bool Daemon::EnterAdmission() {
   return true;
 }
 
+std::pair<std::size_t, std::size_t> Daemon::AdmissionLoad() {
+  std::lock_guard<std::mutex> lock(admission_mu_);
+  return {inflight_, queued_};
+}
+
 void Daemon::LeaveAdmission() {
   {
     std::lock_guard<std::mutex> lock(admission_mu_);
@@ -385,21 +394,17 @@ void Daemon::LeaveAdmission() {
   admission_cv_.notify_one();
 }
 
-void Daemon::WatchDisconnect(int fd, CancelToken* token) {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  watched_[fd] = token;
-  // Stop() sets stopping_ before its sweep of watched_ under watch_mu_, so
-  // a count registering after that sweep sees the flag here and is
-  // cancelled at once instead of running to completion.
-  if (stopping_.load()) token->Cancel();
+void Daemon::SetExecuting(std::uint64_t connection, CancelToken* token) {
+  std::lock_guard<std::mutex> lock(mu_);
+  connections_.at(connection).executing = token;
+  // Stop() sets stopping_ under mu_ before its sweep of the table, so a
+  // count registering after that sweep sees the flag here and is cancelled
+  // at once instead of running to completion.
+  if (token != nullptr && stopping_.load()) token->Cancel();
 }
 
-void Daemon::UnwatchDisconnect(int fd) {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  watched_.erase(fd);
-}
-
-Response Daemon::HandleCount(const Request& request, int fd) {
+Response Daemon::HandleCount(const Request& request,
+                             std::uint64_t connection) {
   const std::string* db_name = request.Arg("db");
   if (db_name == nullptr || !ValidDbName(*db_name)) {
     return ErrorResponse(wire::kBadRequest, "count requires db=<name>");
@@ -431,12 +436,11 @@ Response Daemon::HandleCount(const Request& request, int fd) {
   CancelToken token;
   std::chrono::milliseconds deadline = options_.default_deadline;
   if (const std::string* arg = request.Arg("deadline_ms"); arg != nullptr) {
-    char* end = nullptr;
-    long long ms = std::strtoll(arg->c_str(), &end, 10);
-    if (end != arg->c_str() + arg->size() || ms < 0) {
+    std::optional<std::chrono::milliseconds> ms = ParseDeadlineMs(*arg);
+    if (!ms.has_value()) {
       return ErrorResponse(wire::kBadRequest, "bad deadline_ms: " + *arg);
     }
-    deadline = std::chrono::milliseconds(ms);
+    deadline = *ms;
   }
   if (deadline.count() > 0) token.SetDeadlineAfter(deadline);
 
@@ -447,34 +451,23 @@ Response Daemon::HandleCount(const Request& request, int fd) {
     trace.emplace();
   }
 
-  CountResult result;
-  {
-    DisconnectWatch watch(this, &Daemon::WatchDisconnect,
-                          &Daemon::UnwatchDisconnect, fd, &token);
-    result = entry->engine->Count(*query, *entry->db, *planner, &token,
-                                  trace.has_value() ? &*trace : nullptr);
-  }
+  SetExecuting(connection, &token);
+  CountResult result =
+      entry->engine->Count(*query, *entry->db, *planner, &token,
+                           trace.has_value() ? &*trace : nullptr);
+  SetExecuting(connection, nullptr);
 
   Response response;
   if (result.status == CountStatus::kDeadlineExceeded) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.deadline_exceeded;
-    }
+    Bump(stats_.deadline_exceeded);
     response = ErrorResponse(wire::kDeadlineExceeded,
                              "deadline of " + std::to_string(deadline.count()) +
                                  "ms expired during execution");
   } else if (result.status == CountStatus::kCancelled) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.cancelled_disconnect;
-    }
+    Bump(stats_.cancelled_disconnect);
     response = ErrorResponse(wire::kCancelled, "request cancelled");
   } else if (result.status == CountStatus::kResourceExhausted) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.resource_exhausted;
-    }
+    Bump(stats_.resource_exhausted);
     response = ErrorResponse(
         wire::kResourceExhausted,
         "memory budget exhausted (refused an allocation of " +
@@ -555,36 +548,12 @@ Response Daemon::HandleIngest(const Request& request) {
 
 Response Daemon::HandleStatus() {
   Response response = OkResponse();
-  DaemonStats snapshot = stats();
-  std::size_t inflight;
-  std::size_t queued;
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    inflight = inflight_;
-    queued = queued_;
+  const auto [inflight, queued] = AdmissionLoad();
+  for (const DaemonCounter& counter : kDaemonCounters) {
+    response.Add(counter.status_key,
+                 std::to_string((stats_.*counter.field).load(
+                     std::memory_order_relaxed)));
   }
-  response.Add("connections_accepted",
-               std::to_string(snapshot.connections_accepted));
-  response.Add("requests", std::to_string(snapshot.requests));
-  response.Add("responses_ok", std::to_string(snapshot.responses_ok));
-  response.Add("responses_error", std::to_string(snapshot.responses_error));
-  response.Add("rejected_overload",
-               std::to_string(snapshot.rejected_overload));
-  response.Add("deadline_exceeded",
-               std::to_string(snapshot.deadline_exceeded));
-  response.Add("cancelled_disconnect",
-               std::to_string(snapshot.cancelled_disconnect));
-  response.Add("resource_exhausted",
-               std::to_string(snapshot.resource_exhausted));
-  response.Add("frames_too_large", std::to_string(snapshot.frames_too_large));
-  response.Add("malformed_requests",
-               std::to_string(snapshot.malformed_requests));
-  response.Add("cmd_count", std::to_string(snapshot.cmd_count));
-  response.Add("cmd_ingest", std::to_string(snapshot.cmd_ingest));
-  response.Add("cmd_status", std::to_string(snapshot.cmd_status));
-  response.Add("cmd_inspect", std::to_string(snapshot.cmd_inspect));
-  response.Add("cmd_metrics", std::to_string(snapshot.cmd_metrics));
-  response.Add("cmd_shutdown", std::to_string(snapshot.cmd_shutdown));
   response.Add("inflight", std::to_string(inflight));
   response.Add("queued", std::to_string(queued));
   response.Add("uptime_s",
@@ -614,50 +583,20 @@ Response Daemon::HandleMetrics() {
   // Process-wide families first (engine counts, plan cache, probe filters,
   // index builds), then this daemon instance's own sharpcqd_* section.
   std::string body = MetricsRegistry::Instance().RenderPrometheus();
-  DaemonStats s = stats();
-  std::size_t inflight;
-  std::size_t queued;
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    inflight = inflight_;
-    queued = queued_;
-  }
+  const auto [inflight, queued] = AdmissionLoad();
   body += "# TYPE sharpcqd_uptime_seconds gauge\n";
   AppendPrometheusLine(&body, "sharpcqd_uptime_seconds", "",
                        ElapsedMs(start_time_) / 1000.0);
-  body += "# TYPE sharpcqd_connections_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_connections_total", "",
-                       s.connections_accepted);
-  body += "# TYPE sharpcqd_requests_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"count\"}", s.cmd_count);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"ingest\"}", s.cmd_ingest);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"inspect\"}", s.cmd_inspect);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"metrics\"}", s.cmd_metrics);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"status\"}", s.cmd_status);
-  AppendPrometheusLine(&body, "sharpcqd_requests_total",
-                       "{command=\"shutdown\"}", s.cmd_shutdown);
-  body += "# TYPE sharpcqd_responses_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_responses_total",
-                       "{result=\"ok\"}", s.responses_ok);
-  AppendPrometheusLine(&body, "sharpcqd_responses_total",
-                       "{result=\"error\"}", s.responses_error);
-  body += "# TYPE sharpcqd_rejected_overload_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_rejected_overload_total", "",
-                       s.rejected_overload);
-  body += "# TYPE sharpcqd_deadline_exceeded_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_deadline_exceeded_total", "",
-                       s.deadline_exceeded);
-  body += "# TYPE sharpcqd_cancelled_disconnect_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_cancelled_disconnect_total", "",
-                       s.cancelled_disconnect);
-  body += "# TYPE sharpcqd_resource_exhausted_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_resource_exhausted_total", "",
-                       s.resource_exhausted);
+  std::string_view family;
+  for (const DaemonCounter& counter : kDaemonCounters) {
+    if (family != counter.family) {
+      family = counter.family;
+      body += "# TYPE " + std::string(family) + " counter\n";
+    }
+    AppendPrometheusLine(
+        &body, family, counter.labels,
+        (stats_.*counter.field).load(std::memory_order_relaxed));
+  }
   if (const MemoryBudget* budget =
           options_.catalog.engine.total_budget.get();
       budget != nullptr) {
@@ -668,12 +607,6 @@ Response Daemon::HandleMetrics() {
     AppendPrometheusLine(&body, "sharpcqd_memory_inflight_bytes", "",
                          budget->used());
   }
-  body += "# TYPE sharpcqd_frames_too_large_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_frames_too_large_total", "",
-                       s.frames_too_large);
-  body += "# TYPE sharpcqd_malformed_requests_total counter\n";
-  AppendPrometheusLine(&body, "sharpcqd_malformed_requests_total", "",
-                       s.malformed_requests);
   body += "# TYPE sharpcqd_inflight_requests gauge\n";
   AppendPrometheusLine(&body, "sharpcqd_inflight_requests", "",
                        static_cast<std::uint64_t>(inflight));

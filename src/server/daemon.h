@@ -9,7 +9,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "server/protocol.h"
 #include "storage/catalog.h"
@@ -19,26 +19,72 @@
 
 namespace sharpcq {
 
-// Cumulative daemon counters, readable while serving (`status` returns
-// them over the wire; tests poll them in-process).
+// Cumulative daemon counters: relaxed atomics, readable while serving
+// (tests poll them in-process).
 struct DaemonStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t responses_ok = 0;
-  std::uint64_t responses_error = 0;
-  std::uint64_t rejected_overload = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t cancelled_disconnect = 0;
-  std::uint64_t resource_exhausted = 0;
-  std::uint64_t frames_too_large = 0;
-  std::uint64_t malformed_requests = 0;
+  std::atomic<std::uint64_t> connections_accepted{0};
+  std::atomic<std::uint64_t> requests{0};
+  std::atomic<std::uint64_t> responses_ok{0};
+  std::atomic<std::uint64_t> responses_error{0};
+  std::atomic<std::uint64_t> rejected_overload{0};
+  std::atomic<std::uint64_t> deadline_exceeded{0};
+  std::atomic<std::uint64_t> cancelled_disconnect{0};
+  std::atomic<std::uint64_t> resource_exhausted{0};
+  std::atomic<std::uint64_t> frames_too_large{0};
+  std::atomic<std::uint64_t> malformed_requests{0};
   // Per-command request totals (unknown commands count toward none).
-  std::uint64_t cmd_count = 0;
-  std::uint64_t cmd_ingest = 0;
-  std::uint64_t cmd_status = 0;
-  std::uint64_t cmd_inspect = 0;
-  std::uint64_t cmd_metrics = 0;
-  std::uint64_t cmd_shutdown = 0;
+  std::atomic<std::uint64_t> cmd_count{0};
+  std::atomic<std::uint64_t> cmd_ingest{0};
+  std::atomic<std::uint64_t> cmd_status{0};
+  std::atomic<std::uint64_t> cmd_inspect{0};
+  std::atomic<std::uint64_t> cmd_metrics{0};
+  std::atomic<std::uint64_t> cmd_shutdown{0};
+};
+
+// One row per DaemonStats field: its `status` key and its `metrics` sample
+// (a Prometheus counter family plus label group). `status` and `metrics`
+// each render every row in one loop, so the views cannot drift apart. A
+// `cmd_<command>` row counts the requests for <command>.
+struct DaemonCounter {
+  const char* status_key;
+  const char* family;
+  const char* labels;
+  std::atomic<std::uint64_t> DaemonStats::*field;
+};
+
+inline constexpr DaemonCounter kDaemonCounters[] = {
+    {"connections_accepted", "sharpcqd_connections_total", "",
+     &DaemonStats::connections_accepted},
+    {"requests", "sharpcqd_requests_received_total", "",
+     &DaemonStats::requests},
+    {"responses_ok", "sharpcqd_responses_total", "{result=\"ok\"}",
+     &DaemonStats::responses_ok},
+    {"responses_error", "sharpcqd_responses_total", "{result=\"error\"}",
+     &DaemonStats::responses_error},
+    {"rejected_overload", "sharpcqd_rejected_overload_total", "",
+     &DaemonStats::rejected_overload},
+    {"deadline_exceeded", "sharpcqd_deadline_exceeded_total", "",
+     &DaemonStats::deadline_exceeded},
+    {"cancelled_disconnect", "sharpcqd_cancelled_disconnect_total", "",
+     &DaemonStats::cancelled_disconnect},
+    {"resource_exhausted", "sharpcqd_resource_exhausted_total", "",
+     &DaemonStats::resource_exhausted},
+    {"frames_too_large", "sharpcqd_frames_too_large_total", "",
+     &DaemonStats::frames_too_large},
+    {"malformed_requests", "sharpcqd_malformed_requests_total", "",
+     &DaemonStats::malformed_requests},
+    {"cmd_count", "sharpcqd_requests_total", "{command=\"count\"}",
+     &DaemonStats::cmd_count},
+    {"cmd_ingest", "sharpcqd_requests_total", "{command=\"ingest\"}",
+     &DaemonStats::cmd_ingest},
+    {"cmd_status", "sharpcqd_requests_total", "{command=\"status\"}",
+     &DaemonStats::cmd_status},
+    {"cmd_inspect", "sharpcqd_requests_total", "{command=\"inspect\"}",
+     &DaemonStats::cmd_inspect},
+    {"cmd_metrics", "sharpcqd_requests_total", "{command=\"metrics\"}",
+     &DaemonStats::cmd_metrics},
+    {"cmd_shutdown", "sharpcqd_requests_total", "{command=\"shutdown\"}",
+     &DaemonStats::cmd_shutdown},
 };
 
 struct DaemonOptions {
@@ -93,10 +139,14 @@ struct DaemonOptions {
 // probe work and the client gets a DEADLINE_EXCEEDED (or CANCELLED)
 // response instead of a hang.
 //
-// Threading: one accept thread, one watcher thread, one thread per
-// connection. Stop() (or the `shutdown` command followed by Stop()) closes
-// the listener, shuts down every open connection socket, cancels inflight
-// tokens, and joins everything; the destructor calls Stop().
+// Threading: one accept thread, one watcher thread, and one thread per
+// live connection. One table under one mutex holds each connection's
+// thread, fd and executing token; the watcher polls from it, and the
+// accept loop joins and drops finished connections before it takes the
+// next, so the daemon keeps threads (and their stacks) for live
+// connections only. Stop() (or the `shutdown` command followed by Stop())
+// closes the listener, then shuts down, cancels and joins every
+// connection in the table; the destructor calls Stop().
 class Daemon {
  public:
   explicit Daemon(DaemonOptions options);
@@ -115,20 +165,33 @@ class Daemon {
   // Blocks until Stop() is called or a client sends `shutdown`.
   void Wait();
 
-  // Idempotent full shutdown: stop accepting, cancel and drain inflight
-  // requests, join all threads.
+  // Full shutdown: stop accepting, cancel and drain inflight requests,
+  // join all threads. A second or concurrent call returns once the first
+  // has joined everything.
   void Stop();
 
-  DaemonStats stats() const;
+  const DaemonStats& stats() const { return stats_; }
 
  private:
+  // A live connection's entry in the connection table. Guarded by mu_.
+  struct Connection {
+    std::thread thread;
+    int fd = -1;
+    // The token of the count this connection is executing, or nullptr.
+    CancelToken* executing = nullptr;
+    // ServeConnection has returned; the thread only remains to be joined.
+    bool finished = false;
+  };
+
   // Accepts on `listen_fd` until Stop shuts it down.
   void AcceptLoop(int listen_fd);
+  // Joins and drops finished connections (accept thread only).
+  void ReapFinished();
   void WatchLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(std::uint64_t id, int fd);
 
-  Response Dispatch(const Request& request, int fd);
-  Response HandleCount(const Request& request, int fd);
+  Response Dispatch(const Request& request, std::uint64_t connection);
+  Response HandleCount(const Request& request, std::uint64_t connection);
   Response HandleIngest(const Request& request);
   Response HandleStatus();
   Response HandleInspect(const Request& request);
@@ -137,11 +200,12 @@ class Daemon {
   // Admission gate for count/ingest. False = reject with OVERLOADED.
   bool EnterAdmission();
   void LeaveAdmission();
+  // {inflight, queued} at this instant.
+  std::pair<std::size_t, std::size_t> AdmissionLoad();
 
-  // Disconnect watcher registry: while a request executes, its connection
-  // fd maps to the request's cancel token.
-  void WatchDisconnect(int fd, CancelToken* token);
-  void UnwatchDisconnect(int fd);
+  // Publishes the token of the count `connection` executes (nullptr when
+  // it ends) to the watcher and to Stop().
+  void SetExecuting(std::uint64_t connection, CancelToken* token);
 
   DaemonOptions options_;
   Catalog catalog_;
@@ -163,20 +227,20 @@ class Daemon {
   std::thread accept_thread_;
   std::thread watch_thread_;
 
-  mutable std::mutex mu_;  // connections, stats, stop signal
+  DaemonStats stats_;
+
+  std::mutex mu_;  // the connection table and the stop signal
   std::condition_variable stop_cv_;
   bool stop_requested_ = false;
-  std::vector<std::thread> connection_threads_;
-  std::vector<int> connection_fds_;
-  DaemonStats stats_;
+  bool stopped_ = false;  // the first Stop() has joined everything
+  // Keyed by a per-connection id: the next accept may reuse a closed fd.
+  std::unordered_map<std::uint64_t, Connection> connections_;
+  std::uint64_t next_connection_id_ = 0;
 
   std::mutex admission_mu_;
   std::condition_variable admission_cv_;
   std::size_t inflight_ = 0;
   std::size_t queued_ = 0;
-
-  std::mutex watch_mu_;
-  std::unordered_map<int, CancelToken*> watched_;
 
   // Serializes ingest's read-copy-swap against concurrent ingests of the
   // same catalog; counts are unaffected (they pin their generation).

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 namespace sharpcq {
@@ -47,6 +48,15 @@ std::string SerializeRequest(const Request& request) {
   out.push_back('\n');
   out.append(request.body);
   return out;
+}
+
+std::optional<std::chrono::milliseconds> ParseDeadlineMs(
+    std::string_view text) {
+  long long ms = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, ms);
+  if (ec != std::errc() || ptr != end || ms < 0) return std::nullopt;
+  return std::chrono::milliseconds(ms);
 }
 
 std::optional<Request> ParseRequest(std::string_view payload,

@@ -1,6 +1,7 @@
 #ifndef SHARPCQ_SERVER_PROTOCOL_H_
 #define SHARPCQ_SERVER_PROTOCOL_H_
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -75,6 +76,12 @@ struct Request {
 };
 
 std::string SerializeRequest(const Request& request);
+
+// A deadline argument (`deadline_ms=`, `--default-deadline-ms`): a
+// non-negative decimal integer that fits in 64 bits. nullopt on a sign,
+// junk, an empty string or overflow.
+std::optional<std::chrono::milliseconds> ParseDeadlineMs(
+    std::string_view text);
 
 // nullopt with *error set on an empty header line, a bare argument with no
 // '=', or an empty argument key.

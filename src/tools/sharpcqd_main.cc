@@ -28,6 +28,7 @@
 #include <malloc.h>
 #endif
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -91,11 +92,11 @@ int CmdServe(const DaemonOptions& options) {
   std::fflush(stdout);
   daemon.Wait();
   daemon.Stop();
-  DaemonStats stats = daemon.stats();
+  const DaemonStats& stats = daemon.stats();
   std::printf("sharpcqd exiting: %llu requests (%llu ok, %llu error)\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.responses_ok),
-              static_cast<unsigned long long>(stats.responses_error));
+              static_cast<unsigned long long>(stats.requests.load()),
+              static_cast<unsigned long long>(stats.responses_ok.load()),
+              static_cast<unsigned long long>(stats.responses_error.load()));
   return kExitOk;
 }
 
@@ -168,7 +169,7 @@ int Main(int argc, char** argv) {
   bool have_port = false;
   std::size_t max_inflight = 4;
   std::size_t max_queued = 16;
-  long long default_deadline_ms = 0;
+  std::chrono::milliseconds default_deadline{0};
   // Slow-query ring defaults mirror EngineOptions; the flags below thread
   // through Catalog::Options into every database's engine.
   EngineOptions engine_defaults;
@@ -211,7 +212,9 @@ int Main(int argc, char** argv) {
     } else if (arg == "--default-deadline-ms") {
       auto v = next();
       if (!v) return Usage();
-      default_deadline_ms = std::atoll(v->c_str());
+      std::optional<std::chrono::milliseconds> ms = ParseDeadlineMs(*v);
+      if (!ms) return Usage();
+      default_deadline = *ms;
     } else if (arg == "--slow-query-ms") {
       auto v = next();
       if (!v) return Usage();
@@ -257,14 +260,14 @@ int Main(int argc, char** argv) {
 
   if (command == "serve") {
     if (root.empty() || !positional.empty()) return Usage();
-    if (max_inflight == 0 || default_deadline_ms < 0) return Usage();
+    if (max_inflight == 0) return Usage();
     DaemonOptions options;
     options.catalog_root = root;
     options.host = host;
     options.port = port;
     options.max_inflight = max_inflight;
     options.max_queued = max_queued;
-    options.default_deadline = std::chrono::milliseconds(default_deadline_ms);
+    options.default_deadline = default_deadline;
     options.catalog.engine.slow_query_threshold_ms = slow_query_ms;
     options.catalog.engine.slow_query_log_capacity = slow_query_capacity;
     options.catalog.engine.slow_query_sample_every = slow_query_sample;

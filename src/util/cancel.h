@@ -37,8 +37,14 @@ class CancelToken {
     deadline_ = deadline;
     has_deadline_ = true;
   }
-  void SetDeadlineAfter(std::chrono::nanoseconds budget) {
-    SetDeadline(std::chrono::steady_clock::now() + budget);
+  // Arms the deadline `budget` from now. A budget past the clock's range
+  // saturates at time_point::max() (never expires) instead of overflowing.
+  void SetDeadlineAfter(std::chrono::milliseconds budget) {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    SetDeadline(budget < headroom ? now + budget : Clock::time_point::max());
   }
 
   // Why the execution should stop, or kNone. Explicit cancellation wins

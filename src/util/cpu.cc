@@ -16,18 +16,6 @@ std::size_t QueryL2CacheBytes() {
   return std::size_t{2} << 20;
 }
 
-std::size_t QueryLastLevelCacheBytes() {
-#if defined(_SC_LEVEL4_CACHE_SIZE)
-  long l4 = sysconf(_SC_LEVEL4_CACHE_SIZE);
-  if (l4 > 0) return static_cast<std::size_t>(l4);
-#endif
-#if defined(_SC_LEVEL3_CACHE_SIZE)
-  long l3 = sysconf(_SC_LEVEL3_CACHE_SIZE);
-  if (l3 > 0) return static_cast<std::size_t>(l3);
-#endif
-  return L2CacheBytes() * 8;
-}
-
 bool QueryAvx2() {
 #if !defined(SHARPCQ_NO_SIMD) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -41,11 +29,6 @@ bool QueryAvx2() {
 
 std::size_t L2CacheBytes() {
   static const std::size_t bytes = QueryL2CacheBytes();
-  return bytes;
-}
-
-std::size_t LastLevelCacheBytes() {
-  static const std::size_t bytes = QueryLastLevelCacheBytes();
   return bytes;
 }
 

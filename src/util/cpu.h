@@ -7,16 +7,10 @@ namespace sharpcq {
 
 // Size of the (unified) L2 data cache in bytes, queried once from the OS.
 // Falls back to 2 MiB when the platform does not report one — the common
-// size on the x86 server parts this targets. The radix-partitioned index
-// build sizes its partitions from this (algebra/table.cc).
+// size on the x86 server parts this targets. The morsel planner reads it
+// to tell L2-resident probe indexes from spilling ones
+// (algebra/exec_policy.cc).
 std::size_t L2CacheBytes();
-
-// Size of the last-level cache in bytes, queried once from the OS. Falls
-// back to 8x L2 when the platform does not report one (LLCs on current
-// server parts run 4-32x the per-core L2). The radix build's engage
-// threshold derives from this: partitioning only pays once the slot
-// arrays overflow the LLC and streaming inserts go to DRAM.
-std::size_t LastLevelCacheBytes();
 
 // Whether this process can execute the AVX2 probe kernel: compiled in
 // (x86-64 gcc/clang without SHARPCQ_NO_SIMD) and supported by the CPU.

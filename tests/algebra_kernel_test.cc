@@ -21,7 +21,6 @@
 #include "data/relation.h"
 #include "data/var_relation.h"
 #include "solver/consistency.h"
-#include "util/cpu.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
 
@@ -440,7 +439,7 @@ TEST(PackedKeyTest, MorselParallelSemijoinMatchesSequentialOnLargeInputs) {
   }
 }
 
-// --- SIMD probe kernel, miss filters, radix builds ----------------------------
+// --- SIMD probe kernel, miss filters -----------------------------------------
 
 // Restores the auto-dispatched kernel even if a test fails mid-way.
 struct ForcedProbeKernel {
@@ -450,33 +449,19 @@ struct ForcedProbeKernel {
   ~ForcedProbeKernel() { SetProbeKernelForTesting(ProbeKernel::kAuto); }
 };
 
-// Restores the L2-derived radix threshold even if a test fails mid-way.
-struct ForcedRadixThreshold {
-  explicit ForcedRadixThreshold(std::size_t rows) {
-    TableIndex::SetRadixRowThresholdForTesting(rows);
-  }
-  ~ForcedRadixThreshold() { TableIndex::SetRadixRowThresholdForTesting(0); }
-};
-
-// The ISSUE-6 axes differential: >= 200 instances sweeping the probe
-// kernel's new degrees of freedom — SIMD vs scalar dispatch, miss filters
-// on vs off, radix-partitioned vs streaming index builds — crossed with the
-// packing-mode configurations of the ISSUE-5 sweep. Every combination must
+// The axes differential: 108 instances sweeping the probe kernel's degrees
+// of freedom — SIMD vs scalar dispatch, miss filters on vs off — crossed
+// with the packing-mode configurations of the packed-key sweep. Every combination must
 // agree with the legacy by-value algebra. (Forcing kSimd on a machine
 // without AVX2 resolves to the scalar kernel, so the sweep degrades
 // gracefully rather than skipping.)
-TEST(ProbeKernelAxesDifferentialTest, FilterSimdRadixAxesAgreeOn216Instances) {
+TEST(ProbeKernelAxesDifferentialTest, FilterSimdAxesAgreeOn108Instances) {
   for (std::uint64_t seed = 1; seed <= 27; ++seed) {
-    for (int axes = 0; axes < 8; ++axes) {
+    for (int axes = 0; axes < 4; ++axes) {
       const bool force_simd = (axes & 1) != 0;
       const bool filters_off = (axes & 2) != 0;
-      const bool force_radix = (axes & 4) != 0;
       ForcedProbeKernel kernel(force_simd ? ProbeKernel::kSimd
                                           : ProbeKernel::kScalar);
-      // Threshold 1 pushes even these tiny builds through the radix
-      // partitioner (including its group renumbering); 0 keeps the
-      // L2-derived default, i.e. the streaming path.
-      ForcedRadixThreshold radix(force_radix ? 1 : 0);
       std::optional<MissFilterDisableScope> no_filters;
       if (filters_off) no_filters.emplace();
 
@@ -632,71 +617,6 @@ TEST(MissFilterTest, CountersTallyHitsAndPassesAndDisableScopeStopsThem) {
   EXPECT_EQ(kept_off.size(), 1u);
   EXPECT_EQ(disabled_after.hits, disabled_before.hits);
   EXPECT_EQ(disabled_after.passes, disabled_before.passes);
-}
-
-TEST(RadixBuildTest, ThresholdDefaultsToCacheDerivedValueAndOverrides) {
-  // No override: the cache-derived default — slot arrays must overflow the
-  // last-level cache before partitioning engages, with a floor so small
-  // builds always stream.
-  const std::size_t expected =
-      std::max<std::size_t>(65536, LastLevelCacheBytes() / 13);
-  EXPECT_EQ(TableIndex::RadixRowThreshold(), expected);
-  {
-    ForcedRadixThreshold forced(5);
-    EXPECT_EQ(TableIndex::RadixRowThreshold(), 5u);
-  }
-  EXPECT_EQ(TableIndex::RadixRowThreshold(), expected);
-}
-
-// The radix build must be semantically invisible: same group ids, keys,
-// words, CSR row lists, and degree as the streaming build, for every
-// packing mode.
-TEST(RadixBuildTest, RadixAndStreamingBuildsProduceIdenticalGroupStructure) {
-  for (int mode = 0; mode < 3; ++mode) {
-    std::mt19937_64 rng(31 + static_cast<std::uint64_t>(mode));
-    // Mode 2's stretch blows the 62-bit dense budget across two columns
-    // (2 * 61 bits) while 39 * 2^55 still fits int64.
-    const Value stretch = mode == 2 ? (Value{1} << 55) : 1;
-    std::vector<std::vector<Value>> rows;
-    for (int i = 0; i < 3000; ++i) {
-      Value a = static_cast<Value>(rng() % 40) * stretch;
-      Value b = static_cast<Value>(rng() % 40) * stretch;
-      if (mode == 0) {
-        rows.push_back({a});  // kSingle
-      } else {
-        rows.push_back({a, b});  // kDense (mode 1) / kHashed (mode 2)
-      }
-    }
-    const IdSet vars = mode == 0 ? IdSet{0} : IdSet{0, 1};
-    std::vector<int> key_cols(mode == 0 ? 1 : 2);
-    for (std::size_t c = 0; c < key_cols.size(); ++c) {
-      key_cols[c] = static_cast<int>(c);
-    }
-
-    Rel streaming_rel = MakeVarRel(vars, rows);
-    auto streaming = streaming_rel.table()->IndexOn(key_cols);
-    ASSERT_FALSE(streaming->built_with_radix());
-
-    ForcedRadixThreshold forced(1);
-    Rel radix_rel = MakeVarRel(vars, rows);  // fresh table, fresh index
-    auto radix = radix_rel.table()->IndexOn(key_cols);
-    ASSERT_TRUE(radix->built_with_radix());
-
-    ASSERT_EQ(radix->num_groups(), streaming->num_groups()) << "mode " << mode;
-    EXPECT_EQ(radix->max_group_size(), streaming->max_group_size());
-    for (std::size_t g = 0; g < streaming->num_groups(); ++g) {
-      EXPECT_EQ(radix->group_words()[g], streaming->group_words()[g])
-          << "mode " << mode << " group " << g;
-      std::span<const Value> rk = radix->group_key(g);
-      std::span<const Value> sk = streaming->group_key(g);
-      ASSERT_EQ(rk.size(), sk.size());
-      for (std::size_t j = 0; j < rk.size(); ++j) ASSERT_EQ(rk[j], sk[j]);
-      std::span<const std::uint32_t> rr = radix->group_rows(g);
-      std::span<const std::uint32_t> sr = streaming->group_rows(g);
-      ASSERT_EQ(rr.size(), sr.size()) << "mode " << mode << " group " << g;
-      for (std::size_t j = 0; j < rr.size(); ++j) ASSERT_EQ(rr[j], sr[j]);
-    }
-  }
 }
 
 TEST(TableBuilderTest, ReservedTaggedDedupKeepsFirstOccurrences) {

@@ -26,6 +26,7 @@
 #include "server/daemon.h"
 #include "server/protocol.h"
 #include "storage/catalog.h"
+#include "tests/test_util.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -210,13 +211,6 @@ TEST(RegistryTest, SameNameAndLabelsReturnSameInstance) {
 }
 
 // --- trace spans -------------------------------------------------------------
-
-const TraceNode* FindChild(const TraceNode& node, std::string_view name) {
-  for (const auto& child : node.children) {
-    if (child->name == name) return child.get();
-  }
-  return nullptr;
-}
 
 const std::string* FindNote(const TraceNode& node, std::string_view key) {
   for (const auto& [k, v] : node.notes) {
@@ -441,30 +435,6 @@ std::string MakeScratchDir() {
   const char* dir = ::mkdtemp(buf.data());
   EXPECT_NE(dir, nullptr);
   return dir;
-}
-
-// Checks every non-comment line of a Prometheus text exposition has the
-// `name{labels} value` shape with a numeric value, and returns the value
-// of `series` (exact name + label match), or -1 when absent.
-double ParseExposition(const std::string& text, const std::string& series) {
-  double found = -1.0;
-  std::size_t begin = 0;
-  while (begin < text.size()) {
-    std::size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(begin, end - begin);
-    begin = end + 1;
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t space = line.rfind(' ');
-    EXPECT_NE(space, std::string::npos) << line;
-    const std::string name = line.substr(0, space);
-    char* parse_end = nullptr;
-    const std::string value_text = line.substr(space + 1);
-    const double value = std::strtod(value_text.c_str(), &parse_end);
-    EXPECT_EQ(parse_end, value_text.c_str() + value_text.size()) << line;
-    if (name == series) found = value;
-  }
-  return found;
 }
 
 TEST(DaemonObservabilityTest, MetricsCommandServesParseableExposition) {

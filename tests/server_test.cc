@@ -10,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "server/daemon.h"
 #include "server/protocol.h"
 #include "storage/catalog.h"
+#include "tests/test_util.h"
 #include "util/cancel.h"
 #include "util/thread_pool.h"
 
@@ -146,18 +149,46 @@ TEST(ProtocolTest, ResponseParseRejectsGarbage) {
   EXPECT_FALSE(ParseResponse("ok\nno-colon-line\n", &error).has_value());
 }
 
+TEST(ProtocolTest, ParseDeadlineMsRejectsSignsJunkAndOverflow) {
+  using std::chrono::milliseconds;
+  EXPECT_EQ(ParseDeadlineMs("250"), milliseconds(250));
+  EXPECT_EQ(ParseDeadlineMs("0"), milliseconds(0));
+  EXPECT_EQ(ParseDeadlineMs("9223372036854775807"), milliseconds::max());
+  EXPECT_FALSE(ParseDeadlineMs("9223372036854775808").has_value());
+  EXPECT_FALSE(ParseDeadlineMs("99999999999999999999").has_value());
+  EXPECT_FALSE(ParseDeadlineMs("-5").has_value());
+  EXPECT_FALSE(ParseDeadlineMs("+5").has_value());
+  EXPECT_FALSE(ParseDeadlineMs("").has_value());
+  EXPECT_FALSE(ParseDeadlineMs("12ms").has_value());
+}
+
 // --- cancellation substrate --------------------------------------------------
 
 TEST(CancelTokenTest, CancelWinsOverDeadlineAndVerdictLatches) {
   CancelToken token;
   EXPECT_EQ(token.ShouldStop(), CancelToken::StopReason::kNone);
-  token.SetDeadlineAfter(std::chrono::nanoseconds(0));
+  token.SetDeadlineAfter(std::chrono::milliseconds(0));
   EXPECT_EQ(token.ShouldStop(), CancelToken::StopReason::kDeadline);
   // The deadline verdict latches; a later Cancel still wins the report
   // because explicit cancellation is the stronger signal.
   token.Cancel();
   EXPECT_EQ(token.ShouldStop(), CancelToken::StopReason::kCancelled);
   EXPECT_TRUE(token.stop_requested());
+}
+
+TEST(CancelTokenTest, DeadlinePastTheClockRangeSaturatesInsteadOfOverflowing) {
+  // 10^13 ms is ~317 years: in nanoseconds it overflows signed 64 bits,
+  // and the deadline must saturate rather than wrap into the past.
+  CancelToken far;
+  far.SetDeadlineAfter(std::chrono::milliseconds(10'000'000'000'000));
+  EXPECT_EQ(far.ShouldStop(), CancelToken::StopReason::kNone);
+  CancelToken longest;
+  longest.SetDeadlineAfter(std::chrono::milliseconds::max());
+  EXPECT_EQ(longest.ShouldStop(), CancelToken::StopReason::kNone);
+  // A budget already spent still expires at once.
+  CancelToken spent;
+  spent.SetDeadlineAfter(std::chrono::milliseconds(-1));
+  EXPECT_EQ(spent.ShouldStop(), CancelToken::StopReason::kDeadline);
 }
 
 TEST(MorselCancelTest, ParallelClaimLoopStopsWithinAFewMorsels) {
@@ -349,6 +380,22 @@ Request CountRequest(const std::string& db, const std::string& query) {
   return request;
 }
 
+// Polls `status` on `client` until the daemon reports `inflight` requests
+// executing, or 20 s pass.
+bool WaitForInflight(Client* client, const std::string& inflight) {
+  Request status;
+  status.command = "status";
+  std::string error;
+  const auto deadline = steady_clock::now() + std::chrono::seconds(20);
+  while (steady_clock::now() < deadline) {
+    auto state = client->Call(status, &error);
+    if (!state.has_value()) return false;
+    if (*state->Field("inflight") == inflight) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
 TEST(DaemonTest, CountIngestInspectStatusRoundTrip) {
   DaemonFixture fixture;
   Client client = fixture.Connect();
@@ -514,6 +561,25 @@ TEST(DaemonTest, DeadlineExpiryMidCountReturnsDeadlineExceeded) {
   EXPECT_EQ(fixture.daemon->stats().deadline_exceeded, 1u);
 }
 
+TEST(DaemonTest, DeadlinePastTheClockRangeCountsAndOverflowIsABadRequest) {
+  DaemonFixture fixture;
+  Client client = fixture.Connect();
+  std::string error;
+  Request far = CountRequest("demo", "Q(X,Y) <- r(X,Y)");
+  far.args.emplace_back("deadline_ms", "10000000000000");
+  auto counted = client.Call(far, &error);
+  ASSERT_TRUE(counted.has_value()) << error;
+  ASSERT_TRUE(counted->ok) << counted->code << " " << counted->message;
+  EXPECT_EQ(*counted->Field("count"), "3");
+
+  Request overflow = CountRequest("demo", "Q(X,Y) <- r(X,Y)");
+  overflow.args.emplace_back("deadline_ms", "99999999999999999999");
+  auto rejected = client.Call(overflow, &error);
+  ASSERT_TRUE(rejected.has_value()) << error;
+  EXPECT_EQ(rejected->code, wire::kBadRequest);
+  EXPECT_EQ(fixture.daemon->stats().deadline_exceeded, 0u);
+}
+
 TEST(DaemonTest, DisconnectMidCountCancelsTheExecution) {
   DaemonFixture fixture;
   std::string error;
@@ -555,18 +621,8 @@ TEST(DaemonTest, OverloadRejectsFastWhenQueueFull) {
 
   // Wait until the slow count occupies the only admission slot (status
   // bypasses the gate, so it works under full load).
-  Request status;
-  status.command = "status";
   Client prober = fixture.Connect();
-  auto admit_deadline = steady_clock::now() + std::chrono::seconds(20);
-  bool admitted = false;
-  while (!admitted && steady_clock::now() < admit_deadline) {
-    auto state = prober.Call(status, &error);
-    ASSERT_TRUE(state.has_value()) << error;
-    admitted = *state->Field("inflight") == "1";
-    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_TRUE(admitted);
+  ASSERT_TRUE(WaitForInflight(&prober, "1"));
 
   auto start = steady_clock::now();
   auto rejected =
@@ -579,6 +635,172 @@ TEST(DaemonTest, OverloadRejectsFastWhenQueueFull) {
   EXPECT_EQ(fixture.daemon->stats().rejected_overload, 1u);
 
   blocker.Close();  // the watcher cancels the blocked count during Stop
+}
+
+// Virtual memory of this process in KiB (/proc/self/status), 0 if unknown.
+std::uint64_t VmSizeKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::strtoull(line.c_str() + 7, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+// A connection thread that exits must be joined: until then its stack
+// (8 MiB by default) stays mapped, so a daemon that never joins grows by
+// that much per connection it serves.
+TEST(DaemonTest, SequentialConnectionsReleaseTheirThreads) {
+  DaemonFixture fixture;
+  Request status;
+  status.command = "status";
+  auto cycle = [&] {
+    Client client = fixture.Connect();
+    std::string error;
+    auto state = client.Call(status, &error);
+    ASSERT_TRUE(state.has_value()) << error;
+    ASSERT_TRUE(state->ok);
+  };
+  // Warm up with 8 concurrent connections, then a few sequential ones. The
+  // allocator gives each concurrently running thread its own arena (64 MiB
+  // of address space) and caches freed stacks; later connection threads
+  // reuse both, so the measurement below sees only what the daemon keeps.
+  {
+    std::vector<Client> clients;
+    for (int i = 0; i < 8; ++i) clients.push_back(fixture.Connect());
+    for (Client& client : clients) {
+      std::string error;
+      auto state = client.Call(status, &error);
+      ASSERT_TRUE(state.has_value()) << error;
+    }
+  }
+  for (int i = 0; i < 10; ++i) cycle();
+  const std::uint64_t before = VmSizeKiB();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+  for (int i = 0; i < 500; ++i) cycle();
+  const std::uint64_t after = VmSizeKiB();
+  EXPECT_LT(after, before + 64 * 1024)
+      << "VmSize grew from " << before << " to " << after << " KiB";
+  EXPECT_EQ(fixture.daemon->stats().connections_accepted, 518u);
+}
+
+// `status`, `metrics` and stats() read one counter table. After a mix of
+// ok, malformed, oversized, deadline-expired and overloaded requests every
+// counter agrees across the three views, up to the status and metrics
+// requests themselves.
+TEST(DaemonTest, StatusMetricsAndStatsReadOneCounterTable) {
+  DaemonOptions options;
+  options.max_inflight = 1;
+  options.max_queued = 0;
+  options.max_frame_bytes = 1024;
+  DaemonFixture fixture(std::move(options));
+  std::string error;
+  Client client = fixture.Connect();
+
+  auto counted =
+      client.Call(CountRequest("demo", "Q(X,Y) <- r(X,Y)"), &error);
+  ASSERT_TRUE(counted.has_value()) << error;
+  EXPECT_TRUE(counted->ok);
+
+  ASSERT_TRUE(client.SendFramed("", &error)) << error;
+  auto malformed = client.Receive(&error);
+  ASSERT_TRUE(malformed.has_value()) << error;
+  EXPECT_EQ(malformed->code, wire::kBadRequest);
+
+  {
+    Client oversized = fixture.Connect();
+    const char header[4] = {0x00, 0x10, 0x00, 0x00};
+    ASSERT_TRUE(oversized.SendRaw(std::string_view(header, 4), &error))
+        << error;
+    auto response = oversized.Receive(&error);
+    ASSERT_TRUE(response.has_value()) << error;
+    EXPECT_EQ(response->code, wire::kFrameTooLarge);
+  }
+
+  // A slow count holds the only admission slot until its deadline expires;
+  // a count sent meanwhile is rejected as overloaded.
+  Client blocker = fixture.Connect();
+  Request slow = CountRequest("slow", kSlowQuery);
+  slow.args.emplace_back("strategy", "backtracking");
+  slow.args.emplace_back("deadline_ms", "500");
+  ASSERT_TRUE(blocker.Send(slow, &error)) << error;
+  ASSERT_TRUE(WaitForInflight(&client, "1"));
+  auto rejected =
+      client.Call(CountRequest("demo", "Q(X,Y) <- r(X,Y)"), &error);
+  ASSERT_TRUE(rejected.has_value()) << error;
+  EXPECT_EQ(rejected->code, wire::kOverloaded);
+  auto expired = blocker.Receive(&error);
+  ASSERT_TRUE(expired.has_value()) << error;
+  EXPECT_EQ(expired->code, wire::kDeadlineExceeded);
+
+  Request status;
+  status.command = "status";
+  auto state = client.Call(status, &error);
+  ASSERT_TRUE(state.has_value()) << error;
+  Request metrics;
+  metrics.command = "metrics";
+  auto scrape = client.Call(metrics, &error);
+  ASSERT_TRUE(scrape.has_value()) << error;
+  const DaemonStats& stats = fixture.daemon->stats();
+
+  std::set<std::string> keys;
+  std::set<std::string> samples;
+  for (const DaemonCounter& counter : kDaemonCounters) {
+    const std::string key = counter.status_key;
+    const std::string sample = std::string(counter.family) + counter.labels;
+    keys.insert(key);
+    samples.insert(sample);
+    ASSERT_NE(state->Field(key), nullptr) << key;
+    const double in_status = std::stod(*state->Field(key));
+    // `status` counted itself as a request but not yet its response; the
+    // metrics scrape came one request later, and stats() is read after
+    // both responses went out.
+    const bool metrics_extra =
+        key == "requests" || key == "cmd_metrics" || key == "responses_ok";
+    const bool stats_extra = key == "responses_ok";
+    EXPECT_EQ(ParseExposition(scrape->body, sample),
+              in_status + metrics_extra)
+        << sample;
+    EXPECT_EQ(static_cast<double>((stats.*counter.field).load()),
+              in_status + metrics_extra + stats_extra)
+        << key;
+  }
+  EXPECT_EQ(keys.size(), std::size(kDaemonCounters));
+  EXPECT_EQ(samples.size(), std::size(kDaemonCounters));
+  EXPECT_EQ(stats.frames_too_large, 1u);
+  EXPECT_EQ(stats.malformed_requests, 1u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.rejected_overload, 1u);
+  EXPECT_EQ(stats.cmd_count, 3u);
+  EXPECT_EQ(stats.connections_accepted, 3u);
+
+  // Every status key and sharpcqd_* counter sample keeps its wire name.
+  for (const char* key :
+       {"connections_accepted", "requests", "responses_ok", "responses_error",
+        "rejected_overload", "deadline_exceeded", "cancelled_disconnect",
+        "resource_exhausted", "frames_too_large", "malformed_requests",
+        "cmd_count", "cmd_ingest", "cmd_status", "cmd_inspect", "cmd_metrics",
+        "cmd_shutdown"}) {
+    EXPECT_NE(state->Field(key), nullptr) << key;
+  }
+  for (const char* sample :
+       {"sharpcqd_connections_total",
+        "sharpcqd_requests_total{command=\"count\"}",
+        "sharpcqd_requests_total{command=\"ingest\"}",
+        "sharpcqd_requests_total{command=\"inspect\"}",
+        "sharpcqd_requests_total{command=\"metrics\"}",
+        "sharpcqd_requests_total{command=\"status\"}",
+        "sharpcqd_requests_total{command=\"shutdown\"}",
+        "sharpcqd_responses_total{result=\"ok\"}",
+        "sharpcqd_responses_total{result=\"error\"}",
+        "sharpcqd_rejected_overload_total", "sharpcqd_deadline_exceeded_total",
+        "sharpcqd_cancelled_disconnect_total",
+        "sharpcqd_resource_exhausted_total", "sharpcqd_frames_too_large_total",
+        "sharpcqd_malformed_requests_total"}) {
+    EXPECT_GE(ParseExposition(scrape->body, sample), 0.0) << sample;
+  }
 }
 
 TEST(DaemonTest, ShutdownCommandUnblocksWait) {

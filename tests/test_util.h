@@ -1,7 +1,10 @@
 #ifndef SHARPCQ_TESTS_TEST_UTIL_H_
 #define SHARPCQ_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -79,6 +82,31 @@ inline std::string NoteOf(const TraceNode& node, std::string_view key) {
     if (k == key) return v;
   }
   return "";
+}
+
+// Checks every non-comment line of a Prometheus text exposition has the
+// `name{labels} value` shape with a numeric value, and returns the value
+// of `series` (exact name + label match), or -1 when absent.
+inline double ParseExposition(const std::string& text,
+                              const std::string& series) {
+  double found = -1.0;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(begin, end - begin);
+    begin = end + 1;
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.rfind(' ');
+    EXPECT_NE(space, std::string::npos) << line;
+    const std::string name = line.substr(0, space);
+    char* parse_end = nullptr;
+    const std::string value_text = line.substr(space + 1);
+    const double value = std::strtod(value_text.c_str(), &parse_end);
+    EXPECT_EQ(parse_end, value_text.c_str() + value_text.size()) << line;
+    if (name == series) found = value;
+  }
+  return found;
 }
 
 }  // namespace sharpcq
