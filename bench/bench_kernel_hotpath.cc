@@ -15,8 +15,8 @@
 //   - BM_CountAggregate_{Pr3,Packed}          the CountFullJoin weight
 //     aggregation sweep over a materialized chain instance.
 //
-// The ISSUE-6 additions measure the filter-fronted SIMD kernel against the
-// ISSUE-5 (PR 5) kernel it replaced — packed words and a word-compare slot
+// The next additions measure the filter-fronted block kernel against the
+// packed-word kernel it replaced — packed words and a word-compare slot
 // walk, but per-row scalar hashing, a gathered group_words compare, and no
 // miss filter — replicated below as Pr5WordIndex:
 //

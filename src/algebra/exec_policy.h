@@ -33,8 +33,7 @@ struct ExecStats {
   std::atomic<std::uint64_t> filter_hits{0};
   std::atomic<std::uint64_t> filter_passes{0};
   // Scheduling decisions the cost model changed: join-tree re-rootings /
-  // child reorderings (OptimizeInstanceOrder) and priority-ordered
-  // consistency worklists that deviated from FIFO. Provenance only.
+  // child reorderings (OptimizeInstanceOrder). Provenance only.
   std::atomic<std::uint64_t> cost_reorders{0};
   // Morsel chunks dispatched by RunMorsels for this execution (counted only
   // when a loop actually chunked, so small sequential probes stay free).
@@ -67,9 +66,8 @@ struct ExecPolicy {
   // parallel probes land in their own query's stats — concurrent
   // executions never pollute each other's provenance.
   ExecStats* stats = nullptr;
-  // Statistics-driven scheduling: join-tree rooting/child ordering, the
-  // consistency worklist priority, and the build-size-aware morsel
-  // threshold consult data stats when set. Scheduling only — counts are
+  // Statistics-driven scheduling: join-tree rooting/child ordering and the
+  // build-size-aware morsel threshold consult data stats when set. Scheduling only — counts are
   // identical either way (the differential suite runs both settings).
   bool cost_model = false;
   // Memory budgets for this execution, or null (unlimited). The same

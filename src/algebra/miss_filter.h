@@ -66,9 +66,9 @@ class MissFilter {
   }
 
   // Batch form for the probe driver's verdict pass: out[i] =
-  // MightContain(hashes[i]) for a whole block. The bloom layout dispatches
-  // to the SIMD gather kernel (scalar fallback prefetches ahead), so the
-  // random filter loads overlap instead of stalling a per-row loop.
+  // MightContain(hashes[i]) for a whole block. The bloom layout runs
+  // BloomMightContainBatch, which prefetches ahead, so the random filter
+  // loads overlap instead of stalling a per-row loop.
   void MightContainBatch(const std::uint64_t* hashes, std::size_t n,
                          std::uint8_t* out) const;
 
@@ -92,9 +92,9 @@ class MissFilter {
 bool MissFiltersEnabled();
 
 // Disables filter consults for the scope's lifetime (scopes nest and may
-// overlap across threads — a process-wide disable count). The engine
-// installs one around ExecutePlan when EngineOptions.enable_probe_filters
-// is false; benchmarks use it to measure raw probe cost.
+// overlap across threads — a process-wide disable count, so a scope turns
+// filters off for every concurrent count in the process). Benchmarks and
+// tests use it to measure raw probe cost.
 class MissFilterDisableScope {
  public:
   MissFilterDisableScope();

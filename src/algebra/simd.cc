@@ -1,32 +1,12 @@
 #include "algebra/simd.h"
 
-#include <atomic>
-
-#include "util/cpu.h"
 #include "util/hash.h"
-
-#if !defined(SHARPCQ_NO_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SHARPCQ_SIMD_AVX2 1
-#include <immintrin.h>
-#else
-#define SHARPCQ_SIMD_AVX2 0
-#endif
 
 namespace sharpcq {
 
-namespace {
-
-std::atomic<ProbeKernel> forced_kernel{ProbeKernel::kAuto};
-
-// --- scalar reference implementations ----------------------------------------
-//
-// These ARE the semantics: the AVX2 paths below must reproduce them bit for
-// bit (the differential suite forces both and compares).
-
-void PackDenseDigitsScalar(const std::int64_t* col, std::size_t n,
-                           std::uint64_t base, std::uint64_t range, int shift,
-                           std::uint64_t* out) {
+void PackDenseDigits(const std::int64_t* col, std::size_t n,
+                     std::uint64_t base, std::uint64_t range, int shift,
+                     std::uint64_t* out) {
   constexpr std::uint64_t kPoison = std::uint64_t{1} << 63;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t diff = static_cast<std::uint64_t>(col[i]) - base;
@@ -34,17 +14,18 @@ void PackDenseDigitsScalar(const std::int64_t* col, std::size_t n,
   }
 }
 
-void HashWordsBatchScalar(const std::uint64_t* words, std::size_t n,
-                          std::uint64_t* hashes) {
+void HashWordsBatch(const std::uint64_t* words, std::size_t n,
+                    std::uint64_t* hashes) {
   for (std::size_t i = 0; i < n; ++i) hashes[i] = HashMix(words[i]);
 }
 
-void BloomMightContainBatchScalar(const std::uint64_t* blocks,
-                                  std::uint64_t mask,
-                                  const std::uint64_t* hashes, std::size_t n,
-                                  std::uint8_t* out) {
+void BloomMightContainBatch(const std::uint64_t* blocks, std::uint64_t mask,
+                            const std::uint64_t* hashes, std::size_t n,
+                            std::uint8_t* out) {
   // Run the block loads a fixed distance ahead of the verdicts so the
   // random filter-line accesses overlap instead of serializing the loop.
+  // (A vpgatherqq variant measured slower than this: gather hardware offers
+  // no more memory parallelism than the prefetch pipeline.)
   constexpr std::size_t kAhead = 16;
 #if defined(__GNUC__) || defined(__clang__)
   const std::size_t prime = n < kAhead ? n : kAhead;
@@ -64,134 +45,6 @@ void BloomMightContainBatchScalar(const std::uint64_t* blocks,
                                 (std::uint64_t{1} << ((h >> 20) & 63));
     out[i] = (block & probe) == probe ? 1 : 0;
   }
-}
-
-#if SHARPCQ_SIMD_AVX2
-
-// --- AVX2 implementations -----------------------------------------------------
-//
-// Four 64-bit lanes per __m256i, two registers in flight = 8-wide. AVX2 has
-// no 64x64 multiply or unsigned 64-bit compare; both are synthesized below
-// (the standard three-product multiply and the sign-flip compare), which
-// keeps every lane's arithmetic identical to the scalar uint64 ops.
-
-// Lane-wise a * b (low 64 bits), via 32x32 partial products.
-__attribute__((target("avx2"))) inline __m256i Mul64(__m256i a, __m256i b) {
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i lo_lo = _mm256_mul_epu32(a, b);
-  const __m256i lo_hi = _mm256_mul_epu32(a, b_hi);
-  const __m256i hi_lo = _mm256_mul_epu32(a_hi, b);
-  const __m256i cross = _mm256_add_epi64(lo_hi, hi_lo);
-  return _mm256_add_epi64(lo_lo, _mm256_slli_epi64(cross, 32));
-}
-
-// Lane-wise unsigned a > b: flip sign bits, compare signed.
-__attribute__((target("avx2"))) inline __m256i CmpGtU64(__m256i a, __m256i b) {
-  const __m256i flip = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ULL));
-  return _mm256_cmpgt_epi64(_mm256_xor_si256(a, flip),
-                            _mm256_xor_si256(b, flip));
-}
-
-__attribute__((target("avx2"))) void PackDenseDigitsAvx2(
-    const std::int64_t* col, std::size_t n, std::uint64_t base,
-    std::uint64_t range, int shift, std::uint64_t* out) {
-  const __m256i vbase = _mm256_set1_epi64x(static_cast<long long>(base));
-  const __m256i vrange = _mm256_set1_epi64x(static_cast<long long>(range));
-  const __m256i vpoison =
-      _mm256_set1_epi64x(static_cast<long long>(std::uint64_t{1} << 63));
-  const __m128i vshift = _mm_cvtsi32_si128(shift);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(col + i));
-    const __m256i diff = _mm256_sub_epi64(v, vbase);
-    const __m256i over = CmpGtU64(diff, vrange);  // all-ones on out-of-range
-    const __m256i digit = _mm256_sll_epi64(diff, vshift);
-    const __m256i bits = _mm256_blendv_epi8(digit, vpoison, over);
-    const __m256i prev = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(out + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_or_si256(prev, bits));
-  }
-  if (i < n) PackDenseDigitsScalar(col + i, n - i, base, range, shift, out + i);
-}
-
-__attribute__((target("avx2"))) void HashWordsBatchAvx2(
-    const std::uint64_t* words, std::size_t n, std::uint64_t* hashes) {
-  const __m256i c1 =
-      _mm256_set1_epi64x(static_cast<long long>(0x9e3779b97f4a7c15ULL));
-  const __m256i c2 =
-      _mm256_set1_epi64x(static_cast<long long>(0xbf58476d1ce4e5b9ULL));
-  const __m256i c3 =
-      _mm256_set1_epi64x(static_cast<long long>(0x94d049bb133111ebULL));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(words + i));
-    x = _mm256_add_epi64(x, c1);
-    x = Mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)), c2);
-    x = Mul64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)), c3);
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hashes + i), x);
-  }
-  if (i < n) HashWordsBatchScalar(words + i, n - i, hashes + i);
-}
-
-#endif  // SHARPCQ_SIMD_AVX2
-
-}  // namespace
-
-bool SimdProbeAvailable() { return CpuSupportsAvx2(); }
-
-ProbeKernel ActiveProbeKernel() {
-  switch (forced_kernel.load(std::memory_order_relaxed)) {
-    case ProbeKernel::kScalar:
-      return ProbeKernel::kScalar;
-    case ProbeKernel::kSimd:
-    case ProbeKernel::kAuto:
-      break;
-  }
-  return SimdProbeAvailable() ? ProbeKernel::kSimd : ProbeKernel::kScalar;
-}
-
-void SetProbeKernelForTesting(ProbeKernel kernel) {
-  forced_kernel.store(kernel, std::memory_order_relaxed);
-}
-
-void PackDenseDigits(const std::int64_t* col, std::size_t n,
-                     std::uint64_t base, std::uint64_t range, int shift,
-                     std::uint64_t* out) {
-#if SHARPCQ_SIMD_AVX2
-  if (ActiveProbeKernel() == ProbeKernel::kSimd) {
-    PackDenseDigitsAvx2(col, n, base, range, shift, out);
-    return;
-  }
-#endif
-  PackDenseDigitsScalar(col, n, base, range, shift, out);
-}
-
-void HashWordsBatch(const std::uint64_t* words, std::size_t n,
-                    std::uint64_t* hashes) {
-#if SHARPCQ_SIMD_AVX2
-  if (ActiveProbeKernel() == ProbeKernel::kSimd) {
-    HashWordsBatchAvx2(words, n, hashes);
-    return;
-  }
-#endif
-  HashWordsBatchScalar(words, n, hashes);
-}
-
-void BloomMightContainBatch(const std::uint64_t* blocks, std::uint64_t mask,
-                            const std::uint64_t* hashes, std::size_t n,
-                            std::uint8_t* out) {
-  // One implementation on purpose: an AVX2 vpgatherqq variant measured
-  // slower than this software-prefetched loop on the target parts (gather
-  // hardware offers no more memory parallelism than the prefetch pipeline
-  // and adds lane-marshalling overhead), and a single path keeps verdicts
-  // trivially identical across kernels.
-  BloomMightContainBatchScalar(blocks, mask, hashes, n, out);
 }
 
 }  // namespace sharpcq

@@ -12,30 +12,12 @@ namespace sharpcq {
 // block's scratch (words + hashes + verdicts) stays inside L1.
 inline constexpr std::size_t kProbeBlockRows = 512;
 
-// Which implementation the probe kernel's batch primitives run. kAuto
-// resolves at first use: AVX2 when compiled in (x86-64 gcc/clang without
-// SHARPCQ_NO_SIMD) and the CPU supports it, scalar otherwise. The two
-// implementations compute bit-identical results — the differential suite
-// forces each in turn and compares outputs byte for byte.
-enum class ProbeKernel : std::uint8_t { kAuto, kScalar, kSimd };
-
-// True when the AVX2 kernel can run in this process (compile-time gate and
-// CPUID both pass).
-bool SimdProbeAvailable();
-
-// The kernel the dispatcher currently resolves to — never kAuto. Forcing
-// kSimd on a machine without AVX2 support resolves to kScalar.
-ProbeKernel ActiveProbeKernel();
-
-// Test hook: pins the dispatcher to one implementation (kAuto restores the
-// default). Takes effect on the next batch call; not for production use.
-void SetProbeKernelForTesting(ProbeKernel kernel);
-
-// --- batch primitives (dispatched) -------------------------------------------
+// --- batch primitives --------------------------------------------------------
 //
-// Each call resolves the active kernel once and streams the whole batch
-// through it. All of them are exact drop-in replacements for the scalar
-// loops they vectorize: same wraparound arithmetic, same poison semantics.
+// The probe kernel's block loops, one portable implementation each. Every
+// call streams a whole block through one tight loop the compiler is free
+// to auto-vectorize; the arithmetic is the same wraparound uint64 math as
+// the per-row code they batch (KeyPacking::Pack, HashMix).
 
 // One dense-packing digit column over a row block:
 //   out[i] |= (col[i] - base) <= range ? (col[i] - base) << shift
@@ -54,9 +36,7 @@ void HashWordsBatch(const std::uint64_t* words, std::size_t n,
 // Blocked-bloom verdicts over a hash block (MissFilter's kBlockedBloom
 // layout): out[i] = 1 iff block (hash>>32)&mask holds both probe bits
 // (hash>>26)&63 and (hash>>20)&63. Runs the block loads a fixed prefetch
-// distance ahead of the verdicts so the (random) filter loads overlap;
-// one implementation for every kernel (see the definition for why not a
-// gather).
+// distance ahead of the verdicts so the (random) filter loads overlap.
 void BloomMightContainBatch(const std::uint64_t* blocks, std::uint64_t mask,
                             const std::uint64_t* hashes, std::size_t n,
                             std::uint8_t* out);

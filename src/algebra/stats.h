@@ -23,8 +23,7 @@ class Database;
 // from a v2 snapshot's stats section (storage/snapshot.h).
 //
 // The consumers are scheduling decisions only: strategy tie-breaks in the
-// planner, join-tree rooting and child ordering, the consistency worklist
-// priority, and morsel thresholds. Every strategy stays exact, so a wrong
+// planner, join-tree rooting and child ordering, and morsel thresholds. Every strategy stays exact, so a wrong
 // estimate can cost time, never correctness — the differential suite runs
 // cost-model-on against cost-model-off to prove it.
 // ---------------------------------------------------------------------------

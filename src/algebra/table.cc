@@ -244,7 +244,7 @@ void TableIndex::StreamingBuild(const Table& table,
                                 std::vector<std::uint32_t>* counts,
                                 std::vector<std::uint32_t>* first_row) {
   // Fused single pass in probe-block units: pack a block of key words
-  // (column-major, SIMD-dispatched), then insert its rows, so the words
+  // (column-major, one batch loop per column), then insert its rows, so the words
   // never round-trip through an n-sized buffer.
   const std::size_t n = table.rows();
   const std::span<const int> cols(key_columns_.data(), width_);
@@ -313,8 +313,8 @@ void PackProbeWords(const KeyPacking& packing, const Table& probe,
       return;
     }
     case KeyPacking::Mode::kDense: {
-      // Each column contributes its digit through the dispatched SIMD
-      // primitive: out-of-range probes poison the word (bit 63); in-range
+      // Each column contributes its digit through the PackDenseDigits
+      // batch loop: out-of-range probes poison the word (bit 63); in-range
       // digits only ever touch bits < 62, so a poisoned word stays >= 2^63
       // and can never equal a stored word.
       std::fill(out, out + n, std::uint64_t{0});

@@ -132,7 +132,7 @@ class TableIndex {
   }
 
   // The fused block probe driver (exact packings only): batch-hashes the
-  // words (SIMD when available), consults the miss filter with an adaptive
+  // words in one batch loop, consults the miss filter with an adaptive
   // bypass, prefetches surviving rows' slot lines when the slot arrays are
   // bigger than L2, walks the slots, and calls emit(i, group) inline for
   // every row i in [0, n) with skip[i] == 0 (skip may be null: no row
@@ -379,7 +379,7 @@ void TableIndex::ResolveWordsFused(const std::uint64_t* words, std::size_t n,
 // `packing` (the build side's), writing to out[0..end-begin). Column-major:
 // each key column is streamed once, so the probe loops touch contiguous
 // memory instead of gathering a Value vector per row; the kDense digit
-// accumulation runs through the dispatched SIMD primitive. Dense keys
+// accumulation runs through the PackDenseDigits batch loop. Dense keys
 // outside the packed box come back poisoned and match nothing.
 void PackProbeWords(const KeyPacking& packing, const Table& probe,
                     std::span<const int> cols, std::size_t begin,
@@ -559,7 +559,7 @@ class ProbeScratchLease {
 // The one probe driver: calls fn(row, group) for every non-skipped probe
 // row in [begin, end), where group is the id of the index group matching
 // the row's key columns, or TableIndex::kNoGroup. Packs the range's probe
-// words once (column-major, SIMD-dispatched), then:
+// words once (column-major, one batch loop per column), then:
 //
 //   - exact packings resolve through TableIndex::ResolveProbeWords — the
 //     batched hash + miss-filter + prefetched tag/word compare block

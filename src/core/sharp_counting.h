@@ -52,8 +52,8 @@ struct CountResult {
   // Cost-model provenance (engine layer): whether the executed plan or any
   // runtime scheduling decision was steered by data statistics —
   // `cost_model_steered` is true when the planner's strategy tie-break
-  // fired or `cost_reorders` (join-tree re-rootings, child reorderings,
-  // non-FIFO consistency scheduling) is nonzero. Both zero/false when
+  // fired or `cost_reorders` (join-tree re-rootings and child
+  // reorderings) is nonzero. Both zero/false when
   // EngineOptions::enable_cost_model is off. Counts never depend on it.
   bool cost_model_steered = false;
   std::uint64_t cost_reorders = 0;
@@ -63,8 +63,8 @@ struct CountResult {
   // without touching a slot table (`filter_hits`) and how many went on to
   // the slot walk (`filter_passes`). Accumulated in the execution's own
   // ExecStats sink (algebra/exec_policy.h), so concurrent executions each
-  // report exactly their own probes. Both zero when
-  // EngineOptions::enable_probe_filters is false.
+  // report exactly their own probes. Both zero inside a
+  // MissFilterDisableScope (algebra/miss_filter.h).
   std::uint64_t filter_hits = 0;
   std::uint64_t filter_passes = 0;
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "algebra/exec_policy.h"
-#include "algebra/miss_filter.h"
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/metrics.h"
@@ -174,10 +173,6 @@ CountResult CountingEngine::Count(const ConjunctiveQuery& q,
     policy.process_memory = process_budget;
   }
   ExecScope scope(std::move(policy));
-  // Disable probe-filter consults when the engine is configured without
-  // them (results never change; only the consult is gated).
-  std::optional<MissFilterDisableScope> no_filters;
-  if (!options_.enable_probe_filters) no_filters.emplace();
   Planned planned;
   CountResult result;
   // One try covers planning and execution: a plan miss can take seconds

@@ -47,13 +47,6 @@ struct EngineOptions {
   bool enable_morsel_parallelism = true;
   std::size_t morsel_rows = kDefaultMorselRows;
   std::size_t morsel_row_threshold = kDefaultMorselRowThreshold;
-  // Per-index miss filters on the probe path: probes whose key the filter
-  // rules out skip the slot walk entirely. On by default (the filters are
-  // one-sided, so results never change); set false to measure raw probe
-  // cost or to sidestep the filters' few bytes of cache pressure on
-  // hit-heavy workloads. Filter outcomes are reported per query in
-  // CountResult::filter_hits / filter_passes.
-  bool enable_probe_filters = true;
   // Statistics-driven cost model (algebra/stats.h). When on, each Count
   // profiles the query's relations (lazily computed and cached per table —
   // free for tables loaded from v2 snapshots), hands the profile to the
@@ -61,9 +54,9 @@ struct EngineOptions {
   // plan-cache key ("same shape + same data class => same plan"; an ingest
   // that changes a relation's class re-plans, one that does not keeps the
   // cache warm), and enables the runtime scheduling heuristics: join-tree
-  // rooting/child ordering, consistency-worklist priority, and the
-  // build-size-aware morsel threshold. Scheduling only — counts are
-  // identical with it off (the differential suite checks exactly that).
+  // rooting/child ordering and the build-size-aware morsel threshold.
+  // Scheduling only — counts are identical with it off (the differential
+  // suite checks exactly that).
   bool enable_cost_model = true;
   // Slow-query ring buffer (util/trace.h): every Count whose planner +
   // execute time crosses the threshold is a candidate, every

@@ -50,13 +50,20 @@ std::string SerializeRequest(const Request& request) {
   return out;
 }
 
+std::optional<std::uint64_t> ParseUnsigned(std::string_view text,
+                                           std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return std::nullopt;
+  return value;
+}
+
 std::optional<std::chrono::milliseconds> ParseDeadlineMs(
     std::string_view text) {
-  long long ms = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, ms);
-  if (ec != std::errc() || ptr != end || ms < 0) return std::nullopt;
-  return std::chrono::milliseconds(ms);
+  std::optional<std::uint64_t> ms = ParseUnsigned(text, INT64_MAX);
+  if (!ms) return std::nullopt;
+  return std::chrono::milliseconds(static_cast<std::int64_t>(*ms));
 }
 
 std::optional<Request> ParseRequest(std::string_view payload,

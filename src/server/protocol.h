@@ -77,9 +77,15 @@ struct Request {
 
 std::string SerializeRequest(const Request& request);
 
-// A deadline argument (`deadline_ms=`, `--default-deadline-ms`): a
-// non-negative decimal integer that fits in 64 bits. nullopt on a sign,
-// junk, an empty string or overflow.
+// A numeric argument or flag: a non-negative decimal integer no larger
+// than `max`. nullopt on a sign, junk, an empty string or a value above
+// `max` (overflow included). Every numeric flag of the sharpcqd and
+// sharpcq tools goes through it.
+std::optional<std::uint64_t> ParseUnsigned(
+    std::string_view text, std::uint64_t max = UINT64_MAX);
+
+// A deadline argument (`deadline_ms=`, `--default-deadline-ms`):
+// ParseUnsigned capped at INT64_MAX, the largest millisecond count.
 std::optional<std::chrono::milliseconds> ParseDeadlineMs(
     std::string_view text);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <queue>
 #include <utility>
 
 #include "algebra/exec_policy.h"
@@ -58,27 +57,9 @@ bool EnforcePairwiseConsistency(std::vector<Rel>* views) {
       }
     }
   }
-  std::vector<char> queued(pairs.size(), 1);
-  // Runs pair p once; false when the left view emptied (global failure).
-  // Newly dirty pairs — right side p.first shrank — go through `enqueue`.
-  auto relax = [&](std::size_t p, auto&& enqueue) -> bool {
-    auto [i, j] = pairs[p];
-    bool shrank = false;
-    (*views)[i] = Semijoin((*views)[i], (*views)[j], &shrank);
-    if (!shrank) return true;
-    if ((*views)[i].empty()) return false;
-    for (std::size_t q : pairs_with_right[i]) {
-      if (!queued[q]) {
-        queued[q] = 1;
-        enqueue(q);
-      }
-    }
-    return true;
-  };
-
-  // Relaxations run by either regime below, flushed on every exit path
-  // (including an ExecInterrupted unwind) into the execution's stats sink
-  // and the span — the trace's "consistency-worklist iterations" figure.
+  // Relaxations run below, flushed on every exit path (including an
+  // ExecInterrupted unwind) into the execution's stats sink and the span —
+  // the trace's "consistency-worklist iterations" figure.
   struct RelaxTally {
     std::uint64_t count = 0;
     TraceSpan* span;
@@ -90,60 +71,14 @@ bool EnforcePairwiseConsistency(std::vector<Rel>* views) {
       span->NoteCount("relaxations", count);
     }
   } tally{0, &span};
-
-  // The fixpoint is confluent — semijoins only remove rows and the greatest
-  // pairwise-consistent subinstance is unique — so scheduling order is pure
-  // performance. Both regimes below compute the same views.
-  const ExecPolicy* exec_policy = CurrentExecPolicy();
-  if (exec_policy != nullptr && exec_policy->cost_model) {
-    // Cost-model regime: a priority queue ordered by each pair's estimated
-    // shrink, size(left) / est-distinct(right on shared vars) — the pairs
-    // expected to delete the most rows run first, so later, bigger
-    // semijoins probe already-trimmed left sides. Scores are computed at
-    // enqueue time (cheap: cached stats or row counts, never an index
-    // build); staleness only costs priority accuracy, never correctness.
-    auto score = [&](std::size_t p) -> std::uint64_t {
-      const auto& [i, j] = pairs[p];
-      const Rel& right = (*views)[j];
-      const IdSet shared = Intersect((*views)[i].vars(), right.vars());
-      std::size_t keys = EstimatedDistinctCount(right, shared);
-      if (keys == 0) keys = 1;
-      return static_cast<std::uint64_t>((*views)[i].size()) / keys;
-    };
-    using Entry = std::pair<std::uint64_t, std::size_t>;  // (score, pair)
-    auto later = [](const Entry& a, const Entry& b) {
-      if (a.first != b.first) return a.first < b.first;
-      return a.second > b.second;  // ties: lowest pair index first
-    };
-    std::priority_queue<Entry, std::vector<Entry>, decltype(later)> worklist(
-        later);
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      worklist.emplace(score(p), p);
-    }
-    if (!pairs.empty()) {
-      if (ExecStats* stats = CurrentExecStats()) {
-        stats->cost_reorders.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    span.Note("regime", "priority");
-    while (!worklist.empty()) {
-      CheckExecInterrupt();
-      const std::size_t p = worklist.top().second;
-      worklist.pop();
-      queued[p] = 0;
-      ++tally.count;
-      if (!relax(p, [&](std::size_t q) { worklist.emplace(score(q), q); })) {
-        return false;
-      }
-    }
-    return true;
-  }
   span.Note("regime", "fifo");
 
-  // Default regime: FIFO, seeded by ascending right-side size — small build
-  // sides go first, so by the time the big semijoins run, their left sides
-  // have already been trimmed by every cheap filter (and the stable sort
-  // keeps runs deterministic).
+  // FIFO, seeded by ascending right-side size — small build sides go
+  // first, so by the time the big semijoins run, their left sides have
+  // already been trimmed by every cheap filter (and the stable sort keeps
+  // runs deterministic). The fixpoint is confluent — semijoins only remove
+  // rows and the greatest pairwise-consistent subinstance is unique — so
+  // the order only moves the work, never the views.
   std::vector<std::size_t> seed(pairs.size());
   for (std::size_t p = 0; p < pairs.size(); ++p) seed[p] = p;
   std::stable_sort(seed.begin(), seed.end(),
@@ -151,8 +86,8 @@ bool EnforcePairwiseConsistency(std::vector<Rel>* views) {
                      return (*views)[pairs[a].second].size() <
                             (*views)[pairs[b].second].size();
                    });
-  std::deque<std::size_t> worklist;
-  for (std::size_t p : seed) worklist.push_back(p);
+  std::deque<std::size_t> worklist(seed.begin(), seed.end());
+  std::vector<char> queued(pairs.size(), 1);
 
   while (!worklist.empty()) {
     // Deadline/cancellation checkpoint: the fixpoint can run thousands of
@@ -163,8 +98,17 @@ bool EnforcePairwiseConsistency(std::vector<Rel>* views) {
     worklist.pop_front();
     queued[p] = 0;
     ++tally.count;
-    if (!relax(p, [&](std::size_t q) { worklist.push_back(q); })) {
-      return false;
+    auto [i, j] = pairs[p];
+    bool shrank = false;
+    (*views)[i] = Semijoin((*views)[i], (*views)[j], &shrank);
+    if (!shrank) continue;
+    if ((*views)[i].empty()) return false;
+    // Right side i shrank: every pair reading it is dirty again.
+    for (std::size_t q : pairs_with_right[i]) {
+      if (!queued[q]) {
+        queued[q] = 1;
+        worklist.push_back(q);
+      }
     }
   }
   return true;

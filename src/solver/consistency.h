@@ -21,9 +21,10 @@ namespace sharpcq {
 // are detected up front and downgraded to the two-pass join-tree full
 // reducer (Beeri–Fagin–Maier–Yannakakis: pairwise consistency equals
 // global consistency there, and the reducer reaches it in O(n) semijoins).
-// Cyclic schemas run a worklist propagator instead of the old full-rescan
-// fixpoint: a pair (i, j) is re-enqueued only when its right side j
-// shrank, so the confirming rescans over every pair disappear. Both paths
+// Cyclic schemas run a FIFO worklist propagator instead of the old
+// full-rescan fixpoint: a pair (i, j) is re-enqueued only when its right
+// side j shrank, so the confirming rescans over every pair disappear. The
+// schedule is the same with the cost model on or off. Both paths
 // reuse the right-hand views' cached hash indexes, and semijoins that
 // remove nothing return the unchanged handle (no materialization).
 bool EnforcePairwiseConsistency(std::vector<Rel>* views);

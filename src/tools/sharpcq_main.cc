@@ -12,6 +12,8 @@
 // between 3 and 4 exists because an operator typo and bad data need
 // different fixes (the CsvStatus satellite of ISSUE 4).
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -22,6 +24,7 @@
 #include "data/csv.h"
 #include "engine/engine.h"
 #include "query/parser.h"
+#include "server/protocol.h"
 #include "storage/catalog.h"
 #include "storage/snapshot.h"
 #include "util/clock.h"
@@ -394,6 +397,14 @@ int Main(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    // The next argument as a number in [0, max]; nullopt when it is
+    // missing or not one (a usage error).
+    auto next_number =
+        [&](std::uint64_t max = UINT64_MAX) -> std::optional<std::uint64_t> {
+      auto v = next();
+      if (!v) return std::nullopt;
+      return ParseUnsigned(*v, max);
+    };
     if (arg == "--out") {
       auto v = next();
       if (!v) return Usage();
@@ -419,14 +430,13 @@ int Main(int argc, char** argv) {
       if (!v) return Usage();
       strategy = *v;
     } else if (arg == "--iters") {
-      auto v = next();
-      if (!v) return Usage();
-      iters = std::atoi(v->c_str());
-      if (iters <= 0) return Usage();
+      auto v = next_number(INT_MAX);
+      if (!v || *v == 0) return Usage();
+      iters = static_cast<int>(*v);
     } else if (arg == "--max-query-bytes") {
-      auto v = next();
+      auto v = next_number();
       if (!v) return Usage();
-      max_query_bytes = std::strtoull(v->c_str(), nullptr, 10);
+      max_query_bytes = *v;
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--trace") {

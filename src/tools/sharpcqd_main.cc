@@ -29,8 +29,9 @@
 #endif
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -176,8 +177,8 @@ int Main(int argc, char** argv) {
   double slow_query_ms = engine_defaults.slow_query_threshold_ms;
   std::size_t slow_query_capacity = engine_defaults.slow_query_log_capacity;
   std::size_t slow_query_sample = engine_defaults.slow_query_sample_every;
-  unsigned long long max_query_bytes = 0;
-  unsigned long long max_total_bytes = 0;
+  std::uint64_t max_query_bytes = 0;
+  std::uint64_t max_total_bytes = 0;
   int retries = 1;
   long long backoff_ms = 50;
   std::optional<std::string> body;
@@ -188,6 +189,14 @@ int Main(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    // The next argument as a number in [0, max]; nullopt when it is
+    // missing or not one (a usage error).
+    auto next_number =
+        [&](std::uint64_t max = UINT64_MAX) -> std::optional<std::uint64_t> {
+      auto v = next();
+      if (!v) return std::nullopt;
+      return ParseUnsigned(*v, max);
+    };
     if (arg == "--root") {
       auto v = next();
       if (!v) return Usage();
@@ -197,18 +206,18 @@ int Main(int argc, char** argv) {
       if (!v) return Usage();
       host = *v;
     } else if (arg == "--port") {
-      auto v = next();
+      auto v = next_number(65535);
       if (!v) return Usage();
-      port = std::atoi(v->c_str());
+      port = static_cast<int>(*v);
       have_port = true;
     } else if (arg == "--max-inflight") {
-      auto v = next();
+      auto v = next_number(SIZE_MAX);
       if (!v) return Usage();
-      max_inflight = static_cast<std::size_t>(std::atoll(v->c_str()));
+      max_inflight = static_cast<std::size_t>(*v);
     } else if (arg == "--max-queued") {
-      auto v = next();
+      auto v = next_number(SIZE_MAX);
       if (!v) return Usage();
-      max_queued = static_cast<std::size_t>(std::atoll(v->c_str()));
+      max_queued = static_cast<std::size_t>(*v);
     } else if (arg == "--default-deadline-ms") {
       auto v = next();
       if (!v) return Usage();
@@ -216,36 +225,33 @@ int Main(int argc, char** argv) {
       if (!ms) return Usage();
       default_deadline = *ms;
     } else if (arg == "--slow-query-ms") {
-      auto v = next();
+      auto v = next_number();
       if (!v) return Usage();
-      slow_query_ms = std::atof(v->c_str());
+      slow_query_ms = static_cast<double>(*v);
     } else if (arg == "--slow-query-capacity") {
-      auto v = next();
+      auto v = next_number(SIZE_MAX);
       if (!v) return Usage();
-      slow_query_capacity = static_cast<std::size_t>(std::atoll(v->c_str()));
+      slow_query_capacity = static_cast<std::size_t>(*v);
     } else if (arg == "--slow-query-sample") {
-      auto v = next();
-      if (!v) return Usage();
-      slow_query_sample = static_cast<std::size_t>(std::atoll(v->c_str()));
-      if (slow_query_sample == 0) return Usage();
+      auto v = next_number(SIZE_MAX);
+      if (!v || *v == 0) return Usage();
+      slow_query_sample = static_cast<std::size_t>(*v);
     } else if (arg == "--max-query-bytes") {
-      auto v = next();
+      auto v = next_number();
       if (!v) return Usage();
-      max_query_bytes = std::strtoull(v->c_str(), nullptr, 10);
+      max_query_bytes = *v;
     } else if (arg == "--max-total-bytes") {
-      auto v = next();
+      auto v = next_number();
       if (!v) return Usage();
-      max_total_bytes = std::strtoull(v->c_str(), nullptr, 10);
+      max_total_bytes = *v;
     } else if (arg == "--retries") {
-      auto v = next();
-      if (!v) return Usage();
-      retries = std::atoi(v->c_str());
-      if (retries < 1) return Usage();
+      auto v = next_number(INT_MAX);
+      if (!v || *v == 0) return Usage();
+      retries = static_cast<int>(*v);
     } else if (arg == "--backoff-ms") {
-      auto v = next();
+      auto v = next_number(INT64_MAX);
       if (!v) return Usage();
-      backoff_ms = std::atoll(v->c_str());
-      if (backoff_ms < 0) return Usage();
+      backoff_ms = static_cast<long long>(*v);
     } else if (arg == "--body") {
       auto v = next();
       if (!v) return Usage();

@@ -16,25 +16,11 @@ std::size_t QueryL2CacheBytes() {
   return std::size_t{2} << 20;
 }
 
-bool QueryAvx2() {
-#if !defined(SHARPCQ_NO_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 std::size_t L2CacheBytes() {
   static const std::size_t bytes = QueryL2CacheBytes();
   return bytes;
-}
-
-bool CpuSupportsAvx2() {
-  static const bool supported = QueryAvx2();
-  return supported;
 }
 
 }  // namespace sharpcq

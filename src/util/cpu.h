@@ -12,11 +12,6 @@ namespace sharpcq {
 // (algebra/exec_policy.cc).
 std::size_t L2CacheBytes();
 
-// Whether this process can execute the AVX2 probe kernel: compiled in
-// (x86-64 gcc/clang without SHARPCQ_NO_SIMD) and supported by the CPU.
-// Resolved once; the answer never changes over a process lifetime.
-bool CpuSupportsAvx2();
-
 }  // namespace sharpcq
 
 #endif  // SHARPCQ_UTIL_CPU_H_

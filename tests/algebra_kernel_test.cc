@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <random>
@@ -17,7 +16,6 @@
 #include "algebra/exec_policy.h"
 #include "algebra/miss_filter.h"
 #include "algebra/rel.h"
-#include "algebra/simd.h"
 #include "data/relation.h"
 #include "data/var_relation.h"
 #include "solver/consistency.h"
@@ -439,29 +437,16 @@ TEST(PackedKeyTest, MorselParallelSemijoinMatchesSequentialOnLargeInputs) {
   }
 }
 
-// --- SIMD probe kernel, miss filters -----------------------------------------
+// --- block probe kernel, miss filters ----------------------------------------
 
-// Restores the auto-dispatched kernel even if a test fails mid-way.
-struct ForcedProbeKernel {
-  explicit ForcedProbeKernel(ProbeKernel kernel) {
-    SetProbeKernelForTesting(kernel);
-  }
-  ~ForcedProbeKernel() { SetProbeKernelForTesting(ProbeKernel::kAuto); }
-};
-
-// The axes differential: 108 instances sweeping the probe kernel's degrees
-// of freedom — SIMD vs scalar dispatch, miss filters on vs off — crossed
-// with the packing-mode configurations of the packed-key sweep. Every combination must
-// agree with the legacy by-value algebra. (Forcing kSimd on a machine
-// without AVX2 resolves to the scalar kernel, so the sweep degrades
-// gracefully rather than skipping.)
-TEST(ProbeKernelAxesDifferentialTest, FilterSimdAxesAgreeOn108Instances) {
+// The axes differential: 108 instances, four RNG streams per seed (two
+// with miss filters on, two with them off), crossed with the
+// packing-mode configurations of the packed-key sweep. Every instance
+// must agree with the legacy by-value algebra.
+TEST(MissFilterAxisDifferentialTest, FilterAxisAgreesOn108Instances) {
   for (std::uint64_t seed = 1; seed <= 27; ++seed) {
     for (int axes = 0; axes < 4; ++axes) {
-      const bool force_simd = (axes & 1) != 0;
       const bool filters_off = (axes & 2) != 0;
-      ForcedProbeKernel kernel(force_simd ? ProbeKernel::kSimd
-                                          : ProbeKernel::kScalar);
       std::optional<MissFilterDisableScope> no_filters;
       if (filters_off) no_filters.emplace();
 
@@ -497,55 +482,6 @@ TEST(ProbeKernelAxesDifferentialTest, FilterSimdAxesAgreeOn108Instances) {
                             seed * 8 + static_cast<std::uint64_t>(axes));
     }
   }
-}
-
-TEST(SimdKernelTest, SimdAndScalarPrimitivesAreByteIdentical) {
-  if (!SimdProbeAvailable()) {
-    GTEST_SKIP() << "AVX2 kernel not available in this build/CPU";
-  }
-  std::mt19937_64 rng(11);
-  const std::size_t n = 1031;  // odd: exercises the vector tails
-  std::vector<std::uint64_t> words(n);
-  for (auto& w : words) w = rng();
-  words[0] = 0;
-  words[1] = ~std::uint64_t{0};
-  words[2] = KeyPacking::kPoison;
-
-  std::vector<std::uint64_t> scalar_hashes(n);
-  std::vector<std::uint64_t> simd_hashes(n);
-  {
-    ForcedProbeKernel scalar(ProbeKernel::kScalar);
-    HashWordsBatch(words.data(), n, scalar_hashes.data());
-  }
-  {
-    ForcedProbeKernel simd(ProbeKernel::kSimd);
-    HashWordsBatch(words.data(), n, simd_hashes.data());
-  }
-  EXPECT_EQ(std::memcmp(scalar_hashes.data(), simd_hashes.data(),
-                        n * sizeof(std::uint64_t)),
-            0);
-
-  // Dense digit packing: values straddling the in-range box, a negative
-  // base, and a nonzero accumulator (the |= contract).
-  std::vector<Value> col(n);
-  for (auto& v : col) v = static_cast<Value>(rng() % 2000) - 1000;
-  const std::uint64_t base = static_cast<std::uint64_t>(Value{-900});
-  const std::uint64_t range = 1500;
-  const int shift = 13;
-  std::vector<std::uint64_t> scalar_out(n);
-  std::vector<std::uint64_t> simd_out(n);
-  for (std::size_t i = 0; i < n; ++i) scalar_out[i] = simd_out[i] = rng() % 8;
-  {
-    ForcedProbeKernel scalar(ProbeKernel::kScalar);
-    PackDenseDigits(col.data(), n, base, range, shift, scalar_out.data());
-  }
-  {
-    ForcedProbeKernel simd(ProbeKernel::kSimd);
-    PackDenseDigits(col.data(), n, base, range, shift, simd_out.data());
-  }
-  EXPECT_EQ(std::memcmp(scalar_out.data(), simd_out.data(),
-                        n * sizeof(std::uint64_t)),
-            0);
 }
 
 // Both filter layouts: no stored key may be filtered out (one-sidedness),
@@ -647,35 +583,50 @@ TEST(TableBuilderTest, ReservedTaggedDedupKeepsFirstOccurrences) {
 
 // Chain schemas are acyclic (the worklist downgrades to the join-tree full
 // reducer); triangles are cyclic (the worklist itself runs). Both must
-// match the legacy full-rescan fixpoint.
+// match the legacy full-rescan fixpoint, with no scope installed and under
+// a cost-model policy: the worklist has one schedule, so the cost model
+// neither changes the views nor counts a reorder.
 TEST(WorklistConsistencyTest, MatchesLegacyFixpointOnChainsAndTriangles) {
-  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
-    std::mt19937_64 rng(seed);
-    std::vector<VarRelation> legacy;
-    const bool triangle = seed % 2 == 0;
-    if (triangle) {
-      legacy.push_back(RandomVarRel(&rng, IdSet{0, 1}, 3, 14));
-      legacy.push_back(RandomVarRel(&rng, IdSet{1, 2}, 3, 14));
-      legacy.push_back(RandomVarRel(&rng, IdSet{0, 2}, 3, 14));
-      if (seed % 4 == 0) {  // a 4th view re-using an edge
+  for (const bool cost_model : {false, true}) {
+    ExecStats stats;
+    std::optional<ExecScope> scope;
+    if (cost_model) {
+      ExecPolicy policy;
+      policy.cost_model = true;
+      policy.stats = &stats;
+      scope.emplace(std::move(policy));
+    }
+    for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+      std::mt19937_64 rng(seed);
+      std::vector<VarRelation> legacy;
+      const bool triangle = seed % 2 == 0;
+      if (triangle) {
         legacy.push_back(RandomVarRel(&rng, IdSet{0, 1}, 3, 14));
+        legacy.push_back(RandomVarRel(&rng, IdSet{1, 2}, 3, 14));
+        legacy.push_back(RandomVarRel(&rng, IdSet{0, 2}, 3, 14));
+        if (seed % 4 == 0) {  // a 4th view re-using an edge
+          legacy.push_back(RandomVarRel(&rng, IdSet{0, 1}, 3, 14));
+        }
+      } else {
+        const std::uint32_t len = 3 + static_cast<std::uint32_t>(seed % 3);
+        for (std::uint32_t i = 0; i < len; ++i) {
+          legacy.push_back(RandomVarRel(&rng, IdSet{i, i + 1}, 3, 14));
+        }
       }
-    } else {
-      const std::uint32_t len = 3 + static_cast<std::uint32_t>(seed % 3);
-      for (std::uint32_t i = 0; i < len; ++i) {
-        legacy.push_back(RandomVarRel(&rng, IdSet{i, i + 1}, 3, 14));
+      std::vector<Rel> kernel(legacy.begin(), legacy.end());
+      bool kernel_ok = EnforcePairwiseConsistency(&kernel);
+      bool legacy_ok = LegacyEnforcePairwiseConsistency(&legacy);
+      EXPECT_EQ(kernel_ok, legacy_ok)
+          << "seed " << seed << " cost_model " << cost_model;
+      if (kernel_ok && legacy_ok) {
+        for (std::size_t i = 0; i < legacy.size(); ++i) {
+          EXPECT_TRUE(SameAsLegacy(kernel[i], legacy[i]))
+              << "seed " << seed << " view " << i << " cost_model "
+              << cost_model;
+        }
       }
     }
-    std::vector<Rel> kernel(legacy.begin(), legacy.end());
-    bool kernel_ok = EnforcePairwiseConsistency(&kernel);
-    bool legacy_ok = LegacyEnforcePairwiseConsistency(&legacy);
-    EXPECT_EQ(kernel_ok, legacy_ok) << "seed " << seed;
-    if (kernel_ok && legacy_ok) {
-      for (std::size_t i = 0; i < legacy.size(); ++i) {
-        EXPECT_TRUE(SameAsLegacy(kernel[i], legacy[i]))
-            << "seed " << seed << " view " << i;
-      }
-    }
+    EXPECT_EQ(stats.cost_reorders.load(), 0u);
   }
 }
 

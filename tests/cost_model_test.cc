@@ -269,7 +269,7 @@ std::vector<DiffCase> MakeDiffCases(std::uint64_t first_seed,
     if (skewed) {
       // Heavy-tail the data: pile extra tuples onto one hot value per
       // relation so per-column max_group dwarfs the average (the regime the
-      // degree-steer threshold and worklist priority react to).
+      // degree-steer threshold reacts to).
       for (const Atom& atom : c.query.atoms()) {
         for (int i = 0; i < 12; ++i) {
           std::vector<Value> row(static_cast<std::size_t>(atom.arity()), 0);
@@ -395,8 +395,8 @@ TEST(CostModelConcurrencyTest, ConcurrentLazyStatsComputeOnce) {
 
 TEST(CostModelConcurrencyTest, ConcurrentCountsWithCostModelOn) {
   // Batch counting over a snapshot-backed database with the cost model on:
-  // concurrent jobs consult shared stats, reorder join trees, and run the
-  // priority worklist under TSan.
+  // concurrent jobs consult shared stats and reorder join trees under
+  // TSan.
   Database source;
   for (int i = 0; i < 200; ++i) {
     source.AddTuple("e", {i % 20, (i * 3) % 40});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/exec_policy.h"
+#include "algebra/miss_filter.h"
 #include "core/analyze.h"
 #include "count/enumeration.h"
 #include "engine/engine.h"
@@ -641,9 +642,8 @@ TEST(ExecutorTest, FilterProvenanceCountsMissHeavyProbesAndGatesOff) {
   EXPECT_GT(with.filter_hits, 300u);
   EXPECT_GE(with.filter_passes, 20u);
 
-  EngineOptions off_options;
-  off_options.enable_probe_filters = false;
-  CountingEngine unfiltered(off_options);
+  MissFilterDisableScope no_filters;
+  CountingEngine unfiltered;
   CountResult without = unfiltered.Count(q, db);
   EXPECT_EQ(without.count, CountInt{20});  // filters never change results
   EXPECT_EQ(without.filter_hits, 0u);

@@ -38,6 +38,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocation_count{0};
+
+// Out of line so an inlined operator delete never shows the compiler a
+// free() of a pointer that came from operator new at the same call site
+// (-Wmismatched-new-delete): the pairing is deliberate here.
+[[gnu::noinline]] void Release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -53,15 +58,13 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
   return ::operator new(size, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { Release(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  Release(p);
 }
 
 namespace sharpcq {

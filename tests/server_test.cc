@@ -162,6 +162,24 @@ TEST(ProtocolTest, ParseDeadlineMsRejectsSignsJunkAndOverflow) {
   EXPECT_FALSE(ParseDeadlineMs("12ms").has_value());
 }
 
+TEST(ProtocolTest, ParseUnsignedRejectsSignsJunkOverflowAndRange) {
+  EXPECT_EQ(ParseUnsigned("0"), 0u);
+  EXPECT_EQ(ParseUnsigned("16"), 16u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"), UINT64_MAX);
+  // Sign, junk, empty and overflow.
+  EXPECT_FALSE(ParseUnsigned("-1").has_value());
+  EXPECT_FALSE(ParseUnsigned("+1").has_value());
+  EXPECT_FALSE(ParseUnsigned("abc").has_value());
+  EXPECT_FALSE(ParseUnsigned("7421x").has_value());
+  EXPECT_FALSE(ParseUnsigned(" 1").has_value());
+  EXPECT_FALSE(ParseUnsigned("").has_value());
+  EXPECT_FALSE(ParseUnsigned("18446744073709551616").has_value());
+  // The port range `sharpcqd --port` passes as `max`.
+  EXPECT_EQ(ParseUnsigned("65535", 65535), 65535u);
+  EXPECT_FALSE(ParseUnsigned("65536", 65535).has_value());
+  EXPECT_FALSE(ParseUnsigned("99999", 65535).has_value());
+}
+
 // --- cancellation substrate --------------------------------------------------
 
 TEST(CancelTokenTest, CancelWinsOverDeadlineAndVerdictLatches) {
@@ -299,7 +317,9 @@ TEST(EngineCancelTest, BacktrackingDeadlineOvershootIsBoundedByRowsScanned) {
   CountResult result = engine.Count(Parse(kSlowQuery), db, *planner, &token);
   double elapsed_ms = MsSince(start);
   EXPECT_EQ(result.status, CountStatus::kDeadlineExceeded);
-  if (!kSanitized) EXPECT_LT(elapsed_ms, 50.0);
+  if (!kSanitized) {
+    EXPECT_LT(elapsed_ms, 50.0);
+  }
 }
 
 TEST(EngineCancelTest, DeadlineBoundsAPlanMiss) {
